@@ -254,11 +254,9 @@ def _figure_columns(fig_id):
         lam = mu = 0.6
         grid = eh.default_time_grid(eh.ChainParams(N=N, lam=lam, mu=mu, xi=0.5))
         cols = {"t": grid}
-        for xi in _FIG_XI_LIST:
+        for xi in _FIG_XI_LIST + (0.0,):
             p = eh.ChainParams(N=N, lam=lam, mu=mu, xi=xi)
-            cols[f"g_xi{xi}"] = eh.fpt_density_cat_curve(p, j, grid).samples
-        pfree = eh.ChainParams(N=N, lam=lam, mu=mu, xi=0.0)
-        cols["g_free"] = [eh.fpt_density_free_sym(pfree, j, float(t)) for t in grid]
+            cols[f"g_xi{xi}" if xi > 0.0 else "g_free"] = eh.fpt_density_cat_curve(p, j, grid).samples
         return {"N": N, "lambda": lam, "mu": mu, "j": j}, cols
 
     if fig_id in _FIG6:
@@ -324,13 +322,8 @@ def _figure_columns(fig_id):
         for xi in _FIG_XI_LIST_WITH_FREE:
             p = eh.ChainParams(N=N, lam=lam, mu=mu, xi=xi)
             d = ou.scale_params(ou.ScalingMap(eps, p))
-            if xi > 0.0:
-                cols[f"chain_xi{xi}"] = eh.fpt_density_cat_curve(p, j, grid).samples
-                cols[f"diffusion_xi{xi}"] = [ou.fpt_density_cat_sym(d, y, float(t)) for t in grid]
-            else:
-                cols[f"chain_xi{xi}"] = [eh.fpt_density_free_sym(p, j, float(t)) for t in grid]
-                cols[f"diffusion_xi{xi}"] = [0.0 if t == 0.0 else
-                                             ou.fpt_density_free_sym_x(d, y, float(t)) for t in grid]
+            cols[f"chain_xi{xi}"] = eh.fpt_density_cat_curve(p, j, grid).samples
+            cols[f"diffusion_xi{xi}"] = [ou.fpt_density_cat_sym(d, y, float(t)) for t in grid]
         return {"N": N, "lambda": lam, "mu": mu, "j": j, "epsilon": eps}, cols
 
     if fig_id in _FIG10:

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad, quad_vec, solve_ivp
+from scipy.integrate import quad_vec, solve_ivp
+from scipy.integrate import quad  # noqa: F401  unused; benchmark/trace_targets.py patches it
 
 from .specfun import NonConvergenceError, appell_f1_terminating
 
@@ -33,9 +34,7 @@ __all__ = [
     "generator_matrix",
     "b1",
     "b2",
-    "p_free",
     "p_free_row",
-    "q_free",
     "q_free_row",
     "q_free_mean",
     "q_free_var",
@@ -43,12 +42,9 @@ __all__ = [
     "var_free",
     "q_cat",
     "q_cat_row",
-    "q_cat_quadrature",
     "q_cat_quadrature_row",
     "stationary_row",
-    "p_cat_closed",
     "p_cat_closed_row",
-    "p_cat_quadrature",
     "p_cat_quadrature_row",
     "ode_transient",
     "mean_cat",
@@ -115,16 +111,19 @@ class ChainParams:
 
 @dataclass(frozen=True)
 class ProbVector:
-    """A probability distribution over the states -N..N."""
+    """A probability distribution over the states -N..N (stored read-only)."""
 
     n_half: int
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
+        v.flags.writeable = False
         object.__setattr__(self, "values", v)
         if v.shape != (2 * self.n_half + 1,):
             raise ValueError(f"expected {2 * self.n_half + 1} entries, got shape {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{np.count_nonzero(~np.isfinite(v))} non-finite entries")
         if v.min() < -1e-8 or v.max() > 1.0 + 1e-8:
             raise ValueError("entries outside [0, 1] beyond numerical slack")
         if abs(v.sum() - 1.0) > 1e-6:
@@ -161,6 +160,8 @@ class Curve:
         object.__setattr__(self, "samples", s)
         if g.ndim != 1 or s.shape != g.shape:
             raise ValueError("grid and samples must be 1-D arrays of equal length")
+        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(s))):
+            raise ValueError("grid and samples must be finite")
         if g.size > 1 and not np.all(np.diff(g) > 0):
             raise ValueError("grid must be strictly increasing")
 
@@ -280,35 +281,6 @@ def p_free_row(p: ChainParams, j, t) -> ProbVector:
     return ProbVector(N, out)
 
 
-def p_free(p: ChainParams, j, n, t) -> float:
-    """Single entry of the catastrophe-free transition law."""
-    j = p.check_state(j, "j")
-    n = p.check_state(n, "n")
-    _check_time(t)
-    if t == 0.0:
-        return 1.0 if n == j else 0.0
-    N = p.N
-    v1, v2 = b1(p, t), b2(p, t)
-    l1, l1c = math.log(v1), math.log1p(-v1)
-    l2, l2c = math.log(v2), math.log1p(-v2)
-    lg = math.lgamma
-    lcn1 = lg(N + j + 1)
-    lcn2 = lg(N - j + 1)
-    lo, hi = max(0, j + n), min(N + n, N + j)
-    if lo > hi:
-        return 0.0
-    logs = []
-    for i in range(lo, hi + 1):
-        logs.append(
-            lcn1 - lg(i + 1) - lg(N + j - i + 1)
-            + lcn2 - lg(N + n - i + 1) - lg(i - j - n + 1)
-            + i * l1 + (N + j - i) * l1c
-            + (N + n - i) * l2 + (i - j - n) * l2c
-        )
-    m = max(logs)
-    return math.exp(m) * math.fsum(math.exp(v - m) for v in logs)
-
-
 def q_free_row(p: ChainParams) -> ProbVector:
     """Stationary law of the catastrophe-free chain (a shifted binomial)."""
     N = p.N
@@ -316,11 +288,6 @@ def q_free_row(p: ChainParams) -> ProbVector:
     logs = _lchoose_row(2 * N)[N - n] + (n + N) * math.log(p.rho) \
         - 2 * N * math.log1p(p.rho)
     return ProbVector(N, np.exp(logs))
-
-
-def q_free(p: ChainParams, n) -> float:
-    n = p.check_state(n, "n")
-    return q_free_row(p).prob(n)
 
 
 def q_free_mean(p: ChainParams) -> float:
@@ -370,7 +337,7 @@ def q_cat_row(p: ChainParams) -> ProbVector:
     and all their terms are positive, so no cancellation occurs.
     """
     if not p.xi > 0.0:
-        raise ValueError("q_cat requires xi > 0; use q_free for the free process")
+        raise ValueError("q_cat requires xi > 0; use q_free_row for the free process")
     N, lam, mu, xi = p.N, p.lam, p.mu, p.xi
     d = lam + mu
     a = xi / d
@@ -408,7 +375,7 @@ def q_cat_quadrature_row(p: ChainParams, tol=1e-11) -> ProbVector:
     absorbs the weight exactly, leaving int_0^1 p_free(0, ., -ln(u)/xi) du.
     """
     if not p.xi > 0.0:
-        raise ValueError("q_cat requires xi > 0; use q_free for the free process")
+        raise ValueError("q_cat requires xi > 0; use q_free_row for the free process")
 
     def integrand(u):
         tau = -math.log(u) / p.xi if u > 0.0 else math.inf
@@ -422,11 +389,6 @@ def q_cat_quadrature_row(p: ChainParams, tol=1e-11) -> ProbVector:
     return ProbVector(p.N, res)
 
 
-def q_cat_quadrature(p: ChainParams, n, tol=1e-11) -> float:
-    n = p.check_state(n, "n")
-    return q_cat_quadrature_row(p, tol).prob(n)
-
-
 def stationary_row(p: ChainParams) -> ProbVector:
     """Stationary law for any xi >= 0 (routes xi = 0 to the free law)."""
     return q_cat_row(p) if p.xi > 0.0 else q_free_row(p)
@@ -437,8 +399,11 @@ def stationary_row(p: ChainParams) -> ProbVector:
 
 
 @lru_cache(maxsize=64)
-def _outer_index_sum(rows: int, cols: int) -> np.ndarray:
-    return np.add.outer(np.arange(rows), np.arange(cols))
+def _outer_index_sum(N: int) -> np.ndarray:
+    """Read-only h + k for h, k in 0..N; the callers slice the block they need."""
+    out = np.add.outer(np.arange(N + 1), np.arange(N + 1))
+    out.flags.writeable = False
+    return out
 
 
 def _f_over_c_log_table(p: ChainParams, t) -> np.ndarray:
@@ -482,6 +447,7 @@ def p_cat_closed_row(p: ChainParams, j, t) -> ProbVector:
     lz = math.log(z)
     log_fc = _f_over_c_log_table(p, t)
     lcN = _lchoose_row(N)
+    hk = _outer_index_sum(N)
     lmu_lam = math.log(mu / lam) + lz
     llam_mu = math.log(lam / mu) + lz
     q_row = q_cat_row(p).values
@@ -498,7 +464,7 @@ def p_cat_closed_row(p: ChainParams, j, t) -> ProbVector:
                 lcN[i] + lcN[N + n - i]
                 + (_lchoose_row(i)[:, None] + h[:, None] * lmu_lam)
                 + (_lchoose_row(i - n)[None, :] + k[None, :] * llam_mu)
-                + log_fc[m][_outer_index_sum(i + 1, i - n + 1)]
+                + log_fc[m][hk[: i + 1, : i - n + 1]]
             )
             pieces.append(block.ravel())
         logs = np.concatenate(pieces)
@@ -508,11 +474,6 @@ def p_cat_closed_row(p: ChainParams, j, t) -> ProbVector:
             + mx + math.log(np.exp(logs - mx).sum())
         )
     return ProbVector(N, q_row + math.exp(-xi * t) * ptilde - corr)
-
-
-def p_cat_closed(p: ChainParams, j, n, t) -> float:
-    n = p.check_state(n, "n")
-    return p_cat_closed_row(p, j, t).prob(n)
 
 
 def p_cat_quadrature_row(p: ChainParams, j, t, tol=1e-11) -> ProbVector:
@@ -535,11 +496,6 @@ def p_cat_quadrature_row(p: ChainParams, j, t, tol=1e-11) -> ProbVector:
     if err > tol:
         raise QuadratureError(f"transient-law quadrature reached only {err:.3e}", achieved=err)
     return ProbVector(p.N, lo * ptilde + res)
-
-
-def p_cat_quadrature(p: ChainParams, j, n, t, tol=1e-11) -> float:
-    n = p.check_state(n, "n")
-    return p_cat_quadrature_row(p, j, t, tol).prob(n)
 
 
 def ode_transient(p: ChainParams, j, grid) -> list[ProbVector]:
@@ -630,9 +586,27 @@ def var_cat(p: ChainParams, j, t) -> float:
 # first-passage time through 0
 
 
-def _require_symmetric(p: ChainParams, what):
+def _free_passage_sym(p: ChainParams, j, t) -> tuple[float, float]:
+    """Free first-passage density g and survival S through 0, lam == mu only.
+
+    Both come from one p_free_row.  The chain is skip-free and, for
+    lam == mu, symmetric under n -> -n, so reflecting a path at its first
+    visit to 0 gives, with s = sgn(j),
+
+        S(t) = sum_{n>=1} [p_free(j, s n, t) - p_free(j, -s n, t)],
+        g(t) = mu (N+1) s [p_free(j, 1, t) - p_free(j, -1, t)].
+    """
     if not p.is_symmetric:
-        raise ValueError(f"{what} requires lam == mu (got lam={p.lam}, mu={p.mu})")
+        raise ValueError(
+            f"the first-passage density requires lam == mu (got lam={p.lam}, mu={p.mu})")
+    j = p.check_state(j, "j")
+    if j == 0:
+        raise ValueError("first-passage time from j = 0 is degenerate")
+    v = p_free_row(p, j, t).values
+    N = p.N
+    above, below = v[N + 1:], v[N - 1::-1]          # states n and -n, n = 1..N
+    ahead, behind = (above, below) if j > 0 else (below, above)
+    return p.mu * (N + 1) * (ahead[0] - behind[0]), math.fsum(ahead - behind)
 
 
 def fpt_density_free_sym(p: ChainParams, j, t) -> float:
@@ -642,61 +616,26 @@ def fpt_density_free_sym(p: ChainParams, j, t) -> float:
     value at t = 0 is mu (N+1) rather than 0; see the module tests for
     the short-time behaviour.
     """
-    _require_symmetric(p, "fpt_density_free_sym")
-    j = p.check_state(j, "j")
-    if j == 0:
-        raise ValueError("first-passage time from j = 0 is degenerate")
-    _check_time(t)
-    sgn = 1.0 if j > 0 else -1.0
-    return p.mu * (p.N + 1) * sgn * (p_free(p, j, 1, t) - p_free(p, j, -1, t))
-
-
-def _free_fpt_cdf(p: ChainParams, j, t) -> float:
-    val, err = quad(
-        lambda tau: fpt_density_free_sym(p, j, tau), 0.0, t,
-        epsabs=1e-11, epsrel=1e-11, limit=200,
-    )
-    if err > 1e-9:
-        raise QuadratureError(f"free FPT cdf quadrature reached only {err:.3e}", achieved=err)
-    return val
+    return _free_passage_sym(p, j, t)[0]
 
 
 def fpt_density_cat(p: ChainParams, j, t) -> float:
-    """First-passage density through 0 with catastrophes (lam == mu).
+    """First-passage density through 0 with catastrophes (lam == mu), in closed form.
 
-    e^{-xi t} g_free(t) + xi e^{-xi t} [1 - int_0^t g_free]; catastrophes
-    force passage, so the density starts at xi (for |j| >= 2) and remains
-    normalized.
+    e^{-xi t} [g_free(t) + xi S_free(t)], with the free density and the
+    free survival both read from one p_free_row (the survival by
+    reflection at 0; see _free_passage_sym).  Catastrophes force passage,
+    so the density starts at xi (for |j| >= 2) and remains normalized;
+    at xi = 0 it is g_free.  fpt_moments_linear is the independent oracle.
     """
-    j = p.check_state(j, "j")
-    if j == 0:
-        raise ValueError("first-passage time from j = 0 is degenerate")
-    _check_time(t)
-    g = fpt_density_free_sym(p, j, t)
-    if p.xi == 0.0:
-        return g
-    survival = 1.0 - _free_fpt_cdf(p, j, t)
+    g, survival = _free_passage_sym(p, j, t)
     return math.exp(-p.xi * t) * (g + p.xi * survival)
 
 
 def fpt_density_cat_curve(p: ChainParams, j, grid) -> Curve:
-    """fpt_density_cat sampled on a grid, with the inner cdf accumulated segment by segment."""
-    j = p.check_state(j, "j")
+    """fpt_density_cat sampled on a grid (lam == mu only)."""
     grid = np.asarray(grid, dtype=float)
-    out = np.empty(grid.size)
-    cdf = 0.0
-    prev = 0.0
-    for idx, t in enumerate(grid):
-        if t > prev:
-            seg, _ = quad(
-                lambda tau: fpt_density_free_sym(p, j, tau), prev, t,
-                epsabs=1e-12, epsrel=1e-11, limit=100,
-            )
-            cdf += seg
-            prev = t
-        g = fpt_density_free_sym(p, j, t)
-        out[idx] = math.exp(-p.xi * t) * (g + p.xi * (1.0 - cdf)) if p.xi > 0.0 else g
-    return Curve(grid, out)
+    return Curve(grid, [fpt_density_cat(p, j, float(t)) for t in grid])
 
 
 def fpt_moments_linear(p: ChainParams, j) -> tuple[float, float]:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 from ehrenfestcat import ehrenfest as eh
 
@@ -35,6 +36,20 @@ def test_probvector_validation():
         eh.ProbVector(1, np.array([0.5, 0.5]))  # wrong length
     with pytest.raises(ValueError):
         eh.ProbVector(1, np.array([0.9, 0.4, -0.3]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            eh.ProbVector(1, np.array([0.5, bad, 0.5]))
+    # the alternating sum of the transient closed form goes negative here, and
+    # the row is all NaN but two entries; it must raise rather than return
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+        eh.p_cat_closed_row(eh.ChainParams(20, 0.6, 0.6, 0.5), 3, 0.1)
+
+
+def test_cached_rows_are_read_only():
+    # parameters no other test uses: a failed write must not reach a shared cache entry
+    row = eh.q_cat_row(eh.ChainParams(N=3, lam=0.6, mu=0.6, xi=0.7))
+    with pytest.raises(ValueError):
+        row.values[:] = 0.0
 
 
 def test_curve_validation():
@@ -42,6 +57,10 @@ def test_curve_validation():
         eh.Curve(np.array([0.0, 0.0, 1.0]), np.zeros(3))
     with pytest.raises(ValueError):
         eh.Curve(np.array([0.0, 1.0]), np.zeros(3))
+    with pytest.raises(ValueError, match="finite"):
+        eh.Curve(np.array([0.0, 1.0]), np.array([0.5, np.nan]))
+    with pytest.raises(ValueError, match="finite"):
+        eh.Curve(np.array([0.0, np.inf]), np.zeros(2))
 
 
 # ----------------------------------------------------------------------
@@ -113,8 +132,8 @@ def test_p_free_row_normalization():
 def test_p_free_rate_swap_symmetry():
     for t in (0.2, 0.7, 3.0):
         for j, n in ((3, -1), (6, 0), (-2, 5)):
-            a = eh.p_free(P_ASYM, j, n, t)
-            b = eh.p_free(P_ASYM_M, -j, -n, t)
+            a = eh.p_free_row(P_ASYM, j, t).prob(n)
+            b = eh.p_free_row(P_ASYM_M, -j, t).prob(-n)
             assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -170,7 +189,7 @@ def test_q_cat_closed_small_case():
     p = eh.ChainParams(N=1, lam=0.6, mu=0.6, xi=0.5)
     assert eh.q_cat(p, 0) == pytest.approx(17.0 / 29.0, rel=1e-12)
     assert eh.q_cat(p, 1) == pytest.approx(6.0 / 29.0, rel=1e-12)
-    assert eh.q_cat_quadrature(p, 0) == pytest.approx(17.0 / 29.0, rel=1e-9)
+    assert eh.q_cat_quadrature_row(p).prob(0) == pytest.approx(17.0 / 29.0, rel=1e-9)
 
 
 def test_q_cat_closed_vs_quadrature_sweep():
@@ -381,6 +400,23 @@ def test_fpt_cat_curve_matches_pointwise():
     curve = eh.fpt_density_cat_curve(P_SYM, 3, grid)
     for t, v in zip(grid[1::10], curve.samples[1::10]):
         assert v == pytest.approx(eh.fpt_density_cat(P_SYM, 3, float(t)), abs=1e-9)
+
+
+@pytest.mark.parametrize("N", [10, 40])
+def test_fpt_cat_curve_vs_absorbing_expm(N):
+    # density of the first entrance into 0: expm of the sub-generator with
+    # state 0 removed, times the rates into 0 (drift and catastrophe merged)
+    grid = np.array([1e-3, 1e-2, 0.1, 1.0, 10.0])
+    for xi in (0.0, 0.5):
+        p = eh.ChainParams(N=N, lam=0.6, mu=0.6, xi=xi)
+        Q = eh.generator_matrix(p)
+        keep = np.arange(2 * N + 1) != N
+        Q0, into0 = Q[np.ix_(keep, keep)], Q[keep, N]
+        dens = np.array([expm(Q0 * t) @ into0 for t in grid])   # (time, start)
+        for j in (1, -3, N // 2):
+            want = dens[:, j + N - (j > 0)]
+            got = eh.fpt_density_cat_curve(p, j, grid).samples
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def test_fpt_moments_linear_decreasing_in_xi():

@@ -6,7 +6,6 @@ erfc), and frozen values computed from those oracles.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ehrenfestcat import specfun as sf
+from ehrenfestcat.validate import _f1_bruteforce
 
 
 def test_ln_gamma_trivial_points():
@@ -102,26 +102,6 @@ def test_gauss_2f1_rejects_pole_in_c():
         sf.gauss_2f1_terminating(1.0, -5, -2, 0.3)
 
 
-def _f1_fraction_oracle(a, b, c, d, x, y):
-    af, df, xf, yf = Fraction(a), Fraction(d), Fraction(x), Fraction(y)
-    total = Fraction(0)
-    for m in range(-b + 1):
-        for n in range(-c + 1):
-            num = Fraction(1)
-            for i in range(m + n):
-                num *= af + i
-            for i in range(m):
-                num *= b + i
-            for i in range(n):
-                num *= c + i
-            den = Fraction(1)
-            for i in range(m + n):
-                den *= df + i
-            den *= math.factorial(m) * math.factorial(n)
-            total += num / den * xf**m * yf**n
-    return float(total)
-
-
 def test_appell_f1_trivial():
     assert sf.appell_f1_terminating(1.3, 0, 0, 2.0, 5.0, -7.0) == 1.0
     a, d, x = 0.7, 2.2, 0.45
@@ -143,7 +123,7 @@ def test_appell_f1_trivial():
 @example(a=1.0, b=-5, c=-8, d=1.0, x=1.0, y=1.5)
 def test_appell_f1_matches_exact_rational(a, b, c, d, x, y):
     got = sf.appell_f1_terminating(a, b, c, d, x, y)
-    ref = _f1_fraction_oracle(a, b, c, d, x, y)
+    ref = _f1_bruteforce(a, b, c, d, x, y)
     assert got == pytest.approx(ref, rel=1e-11, abs=1e-13)
 
 
