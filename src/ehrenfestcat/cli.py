@@ -304,8 +304,7 @@ def _figure_columns(fig_id):
         states = p.states
         cols = {"n": states, "x": states * eps}
         for t in _FIG8_TIMES:
-            row = (eh.p_cat_closed_row(p, j, t) if xi > 0.0 else eh.p_free_row(p, j, t))
-            cols[f"p_t{t}"] = row.values
+            cols[f"p_t{t}"] = eh.p_cat_closed_row(p, j, t).values
             if xi > 0.0:
                 cols[f"f_scaled_t{t}"] = [eps * ou.f_cat(d, float(x), y, t) for x in states * eps]
             else:

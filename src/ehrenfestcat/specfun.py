@@ -141,8 +141,8 @@ def appell_f1_terminating(a, b, c, d, x, y):
     sum that cancels, down to an exact zero) the double sum is evaluated
     again in exact rational arithmetic: b and c are integers and every
     float is a binary rational, so the result is then the correctly
-    rounded value of the sum.  Sums whose terms share one sign (the
-    library's stationary-law arguments) take that route only beyond
+    rounded value of the sum.  Sums whose terms share one sign (such as
+    the chain's stationary law in its F1 form) take that route only beyond
     ``1 - b - c = F1_REL_TARGET / eps``, about 4500.
     """
     mb = -_as_nonpositive_int(b, "b")

@@ -70,17 +70,21 @@ def suite_specfun(tol):
         worst = max(worst, abs(got - ref) / max(abs(ref), 1e-300))
     checks.append(CheckResult("appell-f1 vs exact rational", worst <= 1e-11, f"rel {worst:.2e}"))
 
-    # terminating Gauss sum vs the alternating finite-sum identity
+    # the chain's integral table (positive terms) vs the terminating Gauss
+    # sum, whose alternating terms sum accurately only for small m and
+    # z = e^{-(lam+mu) t} (here m <= 20, z <= 0.3), and vs its Beta value at t = 0
     worst = 0.0
-    for (cc, dd, m, t) in [(0.5, 1.2, 20, 1.0), (0.9, 0.8, 7, 0.4)]:
-        z = math.exp(-dd * t)
-        direct = sf.gauss_2f1_terminating(cc / dd, -m, 1.0 + cc / dd, z)
-        alt = cc * math.fsum(
-            (-1) ** l * math.comb(m, l) * math.exp(-dd * l * t) / (cc + dd * l)
-            for l in range(m + 1)
-        )
-        worst = max(worst, abs(direct - alt) / abs(alt))
-    checks.append(CheckResult("gauss-2f1 vs alternating sum", worst <= 1e-11, f"rel {worst:.2e}"))
+    for lam, mu, xi, t in [(0.6, 0.6, 0.5, 1.0), (0.2, 0.6, 1.5, 2.0), (0.6, 0.6, 0.5, 0.0)]:
+        d = lam + mu
+        for (m, s), got in np.ndenumerate(eh._f_over_c_log_table(eh.ChainParams(10, lam, mu, xi), t)):
+            a = xi / d + s
+            if t > 0.0:
+                ref = math.log(sf.gauss_2f1_terminating(a, -m, 1.0 + a, math.exp(-d * t)) / (a * d))
+            else:
+                ref = math.lgamma(a) + math.lgamma(m + 1) - math.lgamma(a + m + 1) - math.log(d)
+            worst = max(worst, abs(got - ref))
+    checks.append(CheckResult("chain integral table vs gauss-2f1 and beta", worst <= 1e-11,
+                              f"abs log {worst:.2e}"))
 
     # cylinder-function branch agreement at the switch point
     worst = 0.0
@@ -135,6 +139,9 @@ def suite_chain(tol):
                     )
                     worst_norm = max(worst_norm, rc.normalization_defect())
                     worst_sym = max(worst_sym, np.abs(rc.values - rm.values[::-1]).max())
+    p = eh.ChainParams(N=40, lam=0.6, mu=0.6, xi=0.5)
+    o = eh.ode_transient(p, 20, np.array([0.01]))[0]
+    worst_tri = max(worst_tri, np.abs(eh.p_cat_closed_row(p, 20, 0.01).values - o.values).max())
     checks.append(CheckResult("transient oracle triangle", worst_tri <= tol, f"abs {worst_tri:.2e}"))
     checks.append(CheckResult("transient normalization", worst_norm <= 1e-9, f"abs {worst_norm:.2e}"))
     checks.append(CheckResult("rate-swap mirror symmetry", worst_sym <= 1e-12, f"abs {worst_sym:.2e}"))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.linalg import expm
+from scipy.linalg import expm, null_space
 
 from ehrenfestcat import ehrenfest as eh
 
@@ -39,10 +39,6 @@ def test_probvector_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="non-finite"):
             eh.ProbVector(1, np.array([0.5, bad, 0.5]))
-    # the alternating sum of the transient closed form goes negative here, and
-    # the row is all NaN but two entries; it must raise rather than return
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
-        eh.p_cat_closed_row(eh.ChainParams(20, 0.6, 0.6, 0.5), 3, 0.1)
 
 
 def test_cached_rows_are_read_only():
@@ -292,6 +288,24 @@ def test_transient_normalization_sweep():
             for row in (eh.p_cat_closed_row(p, j, t), eh.p_cat_quadrature_row(p, j, t)):
                 assert row.normalization_defect() < 1e-9
                 assert row.values.min() > -1e-12
+
+
+@pytest.mark.parametrize("N", [10, 20, 40, 80])
+def test_chain_laws_vs_expm_and_null_space(N):
+    # both closed forms against linear algebra on generator_matrix, over the
+    # region their docstrings state; j = 3 at N = 20, t = 0.1 is where the
+    # earlier alternating-sum table returned NaN
+    times = (1e-3, 1e-2, 0.1, 1.0, 10.0)
+    for lam, mu in ((0.6, 0.6), (0.9, 0.3), (0.3, 0.9)):
+        p = eh.ChainParams(N=N, lam=lam, mu=mu, xi=0.5)
+        Q = eh.generator_matrix(p)
+        stat = null_space(Q.T)[:, 0]
+        assert eh.q_cat_row(p).values == pytest.approx(stat / stat.sum(), rel=0, abs=1e-12)
+        for t in times:
+            law = expm(Q.T * t)                  # column j + N: the law started at j
+            for j in (N // 2, 3):
+                got = eh.p_cat_closed_row(p, j, t).values
+                assert got == pytest.approx(law[:, j + N], rel=0, abs=1e-12)
 
 
 # ----------------------------------------------------------------------
