@@ -229,10 +229,10 @@ def _figure_columns(fig_id):
         lam, mu, xi, j = _FIG3[fig_id]
         p = eh.ChainParams(N=N, lam=lam, mu=mu, xi=xi)
         grid = eh.default_time_grid(p)
-        rows = [eh.p_cat_closed_row(p, j, float(t)) for t in grid]
+        rows = np.array([r.values for r in eh.p_cat_closed_rows(p, j, grid)])
         cols = {"t": grid}
         for n in range(-N, N + 1):
-            cols[f"p_n{n}"] = [r.prob(n) for r in rows]
+            cols[f"p_n{n}"] = rows[:, n + N]
         return {"N": N, "lambda": lam, "mu": mu, "xi": xi, "j": j}, cols
 
     if fig_id in _FIG4:
@@ -303,8 +303,8 @@ def _figure_columns(fig_id):
         d = ou.scale_params(ou.ScalingMap(eps, p))
         states = p.states
         cols = {"n": states, "x": states * eps}
-        for t in _FIG8_TIMES:
-            cols[f"p_t{t}"] = eh.p_cat_closed_row(p, j, t).values
+        for t, row in zip(_FIG8_TIMES, eh.p_cat_closed_rows(p, j, _FIG8_TIMES)):
+            cols[f"p_t{t}"] = row.values
             if xi > 0.0:
                 cols[f"f_scaled_t{t}"] = [eps * ou.f_cat(d, float(x), y, t) for x in states * eps]
             else:

@@ -22,7 +22,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad_vec, solve_ivp
 from scipy.integrate import quad  # noqa: F401  unused; benchmark/trace_targets.py patches it
-from scipy.special import gammaln
 
 from .specfun import NonConvergenceError
 from .specfun import appell_f1_terminating  # noqa: F401  unused; benchmark/trace_targets.py patches it
@@ -47,6 +46,7 @@ __all__ = [
     "q_cat_quadrature_row",
     "stationary_row",
     "p_cat_closed_row",
+    "p_cat_closed_rows",
     "p_cat_quadrature_row",
     "ode_transient",
     "mean_cat",
@@ -259,28 +259,60 @@ def p_free_row(p: ChainParams, j, t) -> ProbVector:
     """Transition law of the catastrophe-free chain at time t, started at j.
 
     Convolution of two binomials with success probabilities b1(t), b2(t);
-    each entry is a log-space sum of positive terms.
+    each entry is a log-space sum of positive terms (see _free_rows).
     """
     j = p.check_state(j, "j")
-    _check_time(t)
-    N = p.N
-    if t == 0.0:
-        v = np.zeros(2 * N + 1)
-        v[j + N] = 1.0
-        return ProbVector(N, v)
-    v1, v2 = b1(p, t), b2(p, t)
+    return ProbVector(p.N, _free_rows(p, j, _check_times([t]))[0])
+
+
+def _check_times(grid) -> np.ndarray:
+    """The grid as a float array of finite, non-negative times (any order)."""
+    times = np.asarray(grid, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("grid must be a non-empty 1-D array")
+    if not np.all(np.isfinite(times)) or times.min() < 0.0:
+        raise ValueError(f"times must be finite and non-negative, got {times.min()}")
+    return times
+
+
+#: float64 elements allowed in the largest temporary of one time slice
+#: (256 KB); the grid routines walk longer grids slice by slice, which
+#: keeps the peak memory of a 400-point grid at N = 10 near that of one row
+_SLICE_ELEMENTS = 1 << 15
+
+
+def _time_slices(n_times, per_time):
+    """Slices of a time axis whose temporaries hold per_time elements per time."""
+    step = max(1, _SLICE_ELEMENTS // per_time)
+    return [slice(k, k + step) for k in range(0, n_times, step)]
+
+
+def _free_rows(p: ChainParams, j: int, times: np.ndarray) -> np.ndarray:
+    """p_free_row(p, j, t) for every t of a checked grid, as a (time, state) array.
+
+    With e = e^{-(lam+mu) t}, the binomial weights are
+    b1 = (lam + mu e)/d, 1 - b1 = mu (1-e)/d, b2 = lam (1-e)/d and
+    1 - b2 = (mu + lam e)/d, so each log term is a time-free part plus
+    three time parts.  Rows at t = 0 are the exact initial vector.
+    """
+    N, lam, mu = p.N, p.lam, p.mu
+    d = lam + mu
     n, i, valid, lcomb = _free_tables(N, j)
-    logs = (
-        lcomb
-        + i * math.log(v1)
-        + (N + j - i) * math.log1p(-v1)
-        + (N + n - i) * math.log(v2)
-        + (i - j - n) * math.log1p(-v2)
-    )
-    logs = np.where(valid, logs, -np.inf)
-    m = logs.max(axis=1, keepdims=True)
-    out = np.exp(m[:, 0]) * np.exp(logs - m).sum(axis=1)
-    return ProbVector(N, out)
+    fixed = np.where(valid, lcomb + (N + j - i) * math.log(mu) + (N + n - i) * math.log(lam)
+                     - 2 * N * math.log(d), -np.inf)
+    out = np.zeros((times.size, 2 * N + 1))
+    out[times == 0.0, j + N] = 1.0
+    live = np.flatnonzero(times > 0.0)
+    for sl in _time_slices(live.size, fixed.size):
+        dt = d * times[live[sl], None, None]
+        e = np.exp(-dt)
+        logs = (2 * N + j + n - 2 * i) * np.log(-np.expm1(-dt))
+        logs += fixed
+        logs += (i - j - n) * np.log(mu + lam * e)
+        logs += i * np.log(lam + mu * e)
+        m = logs.max(axis=-1, keepdims=True)
+        out[live[sl]] = np.exp(m[..., 0]) * np.exp(logs - m, out=logs).sum(axis=-1)
+    return out
 
 
 def q_free_row(p: ChainParams) -> ProbVector:
@@ -338,7 +370,7 @@ def q_cat_row(p: ChainParams) -> ProbVector:
     """
     if not p.xi > 0.0:
         raise ValueError("q_cat requires xi > 0; use q_free_row for the free process")
-    return ProbVector(p.N, _renewal_tail(p, 0.0))
+    return ProbVector(p.N, _renewal_tail(p, np.zeros(1))[0])
 
 
 def q_cat(p: ChainParams, n) -> float:
@@ -379,93 +411,154 @@ def stationary_row(p: ChainParams) -> ProbVector:
 
 @lru_cache(maxsize=64)
 def _outer_index_sum(N: int) -> np.ndarray:
-    """Read-only h + k for h, k in 0..N; the callers slice the block they need."""
+    """Read-only h + k for h, k in 0..N.
+
+    No longer used by the library; the benchmark reads its cache_info().
+    """
     out = np.add.outer(np.arange(N + 1), np.arange(N + 1))
     out.flags.writeable = False
     return out
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log sum exp(a) along the last axis, for finite a."""
+    """log sum exp(a) along the last axis, for finite a (-inf entries allowed)."""
     mx = a.max(axis=-1)
     return mx + np.log(np.exp(a - mx[..., None]).sum(axis=-1))
 
 
-def _f_over_c_log_table(p: ChainParams, t) -> np.ndarray:
-    """log int_0^1 u^{c-1} (1 - z u^d)^m du for m (rows), s (columns) in 0..2N.
+def _f_over_c_log_table(p: ChainParams, times) -> np.ndarray:
+    """log int_0^1 u^{c-1} (1 - z u^d)^m du at every time, as a (time, m, s) array, m, s in 0..2N.
 
-    d = lam + mu, c = xi + s d, z = e^{-d t}.  The integral is
-    F(c/d, -m; 1+c/d; z)/c, which the Pfaff transformation (DLMF 15.8.1)
-    writes as a sum of positive terms, summed here in log space:
+    d = lam + mu, c = xi + s d, z = e^{-d t}.  Integrating by parts gives
+    the recurrence of positive terms
+
+        I_m(c) = [(1 - z)^m + m d z I_{m-1}(c + d)] / c,    I_0(c) = 1/c,
+
+    whose expansion is the Pfaff form (DLMF 15.8.1) of F(c/d, -m; 1+c/d; z)/c,
 
         (1/c) sum_{l=0}^m C(m,l) l! / (1+c/d)_l z^l (1-z)^{m-l}.
 
-    At t = 0 only l = m remains: B(c/d, m+1)/d.  validate checks the table
-    against gauss_2f1_terminating (m <= 20) and that Beta value to 1e-11.
+    It runs in linear space over (time, s) arrays, with s up to 4N at
+    m = 0 so that row m = 2N still holds s in 0..2N.  At t = 0 only l = m
+    remains: B(c/d, m+1)/d.  Every entry is at least that Beta value, so
+    the entries with m + s <= 2N, the ones _renewal_tail uses, are normal
+    floats up to N of about 500.  validate checks the table against
+    gauss_2f1_terminating (m <= 20, z up to 0.73) and the Beta value to
+    1e-11 in the log.
     """
-    xi, d = p.xi, p.lam + p.mu
-    m = np.arange(2 * p.N + 1)
-    lg = gammaln(1.0 + xi / d + np.arange(4 * p.N + 1))   # lgamma(1 + c/d + l) at s + l
-    lgm, log_c = gammaln(m + 1.0), np.log(xi + d * m)
-    if t == 0.0:
-        return lgm[:, None] + lg[m] - lg[m[:, None] + m] - log_c
-    lz, l1z = -d * t, math.log(-math.expm1(-d * t))
-    table = np.empty((m.size, m.size))
-    for k in m:                                          # the degree
-        l = m[: k + 1]
-        table[k] = _logsumexp(lgm[k] - lgm[k - l] + l * lz + (k - l) * l1z
-                              + lg[m, None] - lg[m[:, None] + l])
-    return table - log_c
+    N, xi, d = p.N, p.xi, p.lam + p.mu
+    t = np.asarray(times, dtype=float)[:, None]
+    inv_c = 1.0 / (xi + d * np.arange(4 * N + 1))
+    z, one_minus_z = np.exp(-d * t), -np.expm1(-d * t)
+    out = np.empty((t.shape[0], 2 * N + 1, 2 * N + 1))
+    row = np.broadcast_to(inv_c, (t.shape[0], inv_c.size))
+    out[:, 0] = row[:, : 2 * N + 1]
+    for m in range(1, 2 * N + 1):
+        row = (one_minus_z**m + m * d * z * row[:, 1:]) * inv_c[: inv_c.size - m]
+        out[:, m] = row[:, : 2 * N + 1]
+    with np.errstate(divide="ignore"):          # unused entries beyond m + s = 2N may underflow
+        return np.log(out, out=out)
 
 
-def _renewal_tail(p: ChainParams, t) -> np.ndarray:
-    """T_n(t) = xi int_t^inf e^{-xi tau} p_free(0, n, tau) dtau for n = -N..N (xi > 0).
+def _pair_coefficients(p: ChainParams):
+    """Time-free coefficients of the renewal tail, grouped by a + b.
+
+    For a, b in 0..N and r = mu/lam,
+
+        P_{a,b}[s] = sum_{h+k=s} C(a,h) C(b,k) r^{h-k} = [x^s] (1 + r x)^a (1 + x/r)^b.
+
+    Group g = a + b holds the pairs a = max(0, g-N)..min(N, g), b = g - a.
+    It comes from group g - 1 by one positive shift-add per row: times
+    (1 + x/r) for b >= 1, and times (1 + r x) for the new pair (g, 0).
+    Each row is rescaled to max 1 and its log scale kept, so no entry
+    overflows.  Returns a list over g of (a, rows (pairs, g+1), log scales).
+    """
+    N, r = p.N, p.mu / p.lam
+    rows, scale = np.ones((1, 1)), np.zeros(1)
+    groups = [(np.zeros(1, dtype=int), rows, scale)]
+    for g in range(1, 2 * N + 1):
+        keep = 1 if g > N else 0                    # pair (g-1-N, N) leaves the range
+        grown = np.zeros((rows.shape[0] - keep + (g <= N), g + 1))
+        grown[: rows.shape[0] - keep, :-1] = rows[keep:]
+        grown[: rows.shape[0] - keep, 1:] += rows[keep:] / r
+        new_scale = scale[keep:]
+        if g <= N:                                  # the pair (g, 0)
+            grown[-1, :-1] = rows[-1]
+            grown[-1, 1:] += r * rows[-1]
+            new_scale = np.append(new_scale, scale[-1])
+        top = grown.max(axis=1)
+        rows, scale = grown / top[:, None], new_scale + np.log(top)
+        groups.append((np.arange(max(0, g - N), min(N, g) + 1), rows, scale))
+    return groups
+
+
+def _renewal_tail(p: ChainParams, times: np.ndarray) -> np.ndarray:
+    """T_n(t) = xi int_t^inf e^{-xi tau} p_free(0, n, tau) dtau at every time, (time, n), xi > 0.
 
     By renewal at the last catastrophe, p_cat(j,n,t) = q_n + e^{-xi t}
     p_free(j,n,t) - T_n(t) with q_n = T_n(0).  Expanding the two binomials
-    of p_free(0, n, tau) in powers of e^{-(lam+mu) tau} makes T_n a triple
-    finite sum (over i and the powers h, k) of positive terms, each a
-    product of binomials and a table entry at m = 2N+n-2i, s = h+k.
+    of p_free(0, n, tau) in powers of e^{-d tau}, d = lam + mu, and summing
+    over the powers h + k = s first gives, with the pair coefficients P
+    of _pair_coefficients and the table I of _f_over_c_log_table,
+
+        T_n(t) = xi e^{-xi t} lam^{N+n} mu^{N-n} d^{-2N}
+                 sum_{a-b=n} C(N,a) C(N,b) sum_{s<=a+b} P_{a,b}[s] e^{-d t s} I_{2N-a-b,s}(t),
+
+    a sum of positive terms.  The coefficients are built once per call.
+    For each group a + b the sum over s is a product of the rescaled
+    coefficients with the table row divided by its s = 0 entry (the
+    largest: I and e^{-d t s} both fall with s); the sum over the pairs
+    of each n is in log space.  Long grids run slice by slice.
     """
     N, lam, mu, xi = p.N, p.lam, p.mu, p.xi
     d = lam + mu
-    log_fc = _f_over_c_log_table(p, t)
+    times = np.asarray(times, dtype=float)
+    groups = _pair_coefficients(p)
     lcN = _lchoose_row(N)
-    hk = _outer_index_sum(N)
-    lmu_lam, llam_mu = math.log(mu / lam) - d * t, math.log(lam / mu) - d * t
-    lse = np.empty(2 * N + 1)
-    for n in range(-N, N + 1):
-        pieces = []
-        for i in range(max(0, n), min(N, N + n) + 1):
-            block = (
-                lcN[i] + lcN[N + n - i]
-                + (_lchoose_row(i) + np.arange(i + 1) * lmu_lam)[:, None]
-                + (_lchoose_row(i - n) + np.arange(i - n + 1) * llam_mu)[None, :]
-                + log_fc[2 * N + n - 2 * i][hk[: i + 1, : i - n + 1]]
-            )
-            pieces.append(block.ravel())
-        lse[n + N] = _logsumexp(np.concatenate(pieces))
     n = np.arange(-N, N + 1)
-    return np.exp(lse + math.log(xi) - xi * t - 2 * N * math.log(d)
+    out = np.empty((times.size, 2 * N + 1))
+    for sl in _time_slices(times.size, (2 * N + 1) ** 2):
+        t = times[sl, None]
+        log_i = _f_over_c_log_table(p, times[sl])
+        by_pair = np.full((t.shape[0], 2 * N + 1, N + 1), -np.inf)   # (time, n, a)
+        for g, (a, rows, scale) in enumerate(groups):
+            m = 2 * N - g
+            ratio = np.exp(log_i[:, m, : g + 1] - log_i[:, m, :1] - d * t * np.arange(g + 1))
+            summed = (ratio[:, None, :] * rows[None, :, :]).sum(axis=-1)      # (time, pair)
+            by_pair[:, 2 * a - g + N, a] = (np.log(summed) + scale + lcN[a] + lcN[g - a]
+                                            + log_i[:, m, :1])
+        out[sl] = _logsumexp(by_pair) - xi * t
+    return np.exp(out + math.log(xi) - 2 * N * math.log(d)
                   + (N + n) * math.log(lam) + (N - n) * math.log(mu))
 
 
-def p_cat_closed_row(p: ChainParams, j, t) -> ProbVector:
-    """Transient law with catastrophes at time t, started at j, in closed form.
+def p_cat_closed_rows(p: ChainParams, j, grid) -> list[ProbVector]:
+    """Transient law with catastrophes at every time of grid, started at j, in closed form.
 
-    q_n + e^{-xi t} p_free(j,n,t) - T_n(t), with the renewal tail T of
-    _renewal_tail (q = T(0)); the inner integrals are in Pfaff form, so
-    every term is positive and no row is NaN.  Against scipy.linalg.expm
-    of generator_matrix it agrees to 1e-12 absolute (4e-14 measured) over
-    N <= 80, lam/mu in {1, 3, 1/3} and t in [1e-3, 10].
+    q_n + e^{-xi t} p_free(j,n,t) - T_n(t), with the free rows of
+    _free_rows and the renewal tail T of _renewal_tail (q = T(0)), each
+    computed for the whole grid at once.  The grid may be in any order and
+    repeat times; rows at t = 0 are the exact initial vector, and at
+    xi = 0 the rows are the free ones.  Every term is positive, so no row
+    is NaN.  Against scipy.linalg.expm of generator_matrix it agrees to
+    1e-12 absolute (2.4e-14 measured) over N <= 80, lam/mu from 0.1 to
+    100, xi from 0.05 to 5 and t in [1e-3, 10]; validate checks it
+    against ode_transient on the 400-point default grid at N = 10 and 40.
     """
     j = p.check_state(j, "j")
-    _check_time(t)
-    if p.xi == 0.0 or t == 0.0:                          # the free row, exact at t = 0
-        return p_free_row(p, j, t)
-    ptilde = p_free_row(p, j, t).values
-    return ProbVector(p.N, q_cat_row(p).values + math.exp(-p.xi * t) * ptilde
+    times = _check_times(grid)
+    rows = _free_rows(p, j, times)
+    live = times > 0.0
+    if p.xi > 0.0 and live.any():
+        t = times[live]
+        rows[live] = (q_cat_row(p).values + np.exp(-p.xi * t)[:, None] * rows[live]
                       - _renewal_tail(p, t))
+    return [ProbVector(p.N, v) for v in rows]
+
+
+def p_cat_closed_row(p: ChainParams, j, t) -> ProbVector:
+    """Transient law with catastrophes at time t, started at j: p_cat_closed_rows at one time."""
+    return p_cat_closed_rows(p, j, [t])[0]
 
 
 def p_cat_quadrature_row(p: ChainParams, j, t, tol=1e-11) -> ProbVector:
@@ -578,12 +671,12 @@ def var_cat(p: ChainParams, j, t) -> float:
 # first-passage time through 0
 
 
-def _free_passage_sym(p: ChainParams, j, t) -> tuple[float, float]:
-    """Free first-passage density g and survival S through 0, lam == mu only.
+def _free_passage_sym(p: ChainParams, j, times) -> tuple[np.ndarray, np.ndarray]:
+    """Free first-passage density g and survival S through 0 at every time, lam == mu only.
 
-    Both come from one p_free_row.  The chain is skip-free and, for
-    lam == mu, symmetric under n -> -n, so reflecting a path at its first
-    visit to 0 gives, with s = sgn(j),
+    Both come from the free rows of _free_rows.  The chain is skip-free
+    and, for lam == mu, symmetric under n -> -n, so reflecting a path at
+    its first visit to 0 gives, with s = sgn(j),
 
         S(t) = sum_{n>=1} [p_free(j, s n, t) - p_free(j, -s n, t)],
         g(t) = mu (N+1) s [p_free(j, 1, t) - p_free(j, -1, t)].
@@ -594,11 +687,11 @@ def _free_passage_sym(p: ChainParams, j, t) -> tuple[float, float]:
     j = p.check_state(j, "j")
     if j == 0:
         raise ValueError("first-passage time from j = 0 is degenerate")
-    v = p_free_row(p, j, t).values
+    v = _free_rows(p, j, _check_times(times))
     N = p.N
-    above, below = v[N + 1:], v[N - 1::-1]          # states n and -n, n = 1..N
+    above, below = v[:, N + 1:], v[:, N - 1::-1]    # states n and -n, n = 1..N
     ahead, behind = (above, below) if j > 0 else (below, above)
-    return p.mu * (N + 1) * (ahead[0] - behind[0]), math.fsum(ahead - behind)
+    return p.mu * (N + 1) * (ahead[:, 0] - behind[:, 0]), (ahead - behind).sum(axis=1)
 
 
 def fpt_density_free_sym(p: ChainParams, j, t) -> float:
@@ -608,26 +701,28 @@ def fpt_density_free_sym(p: ChainParams, j, t) -> float:
     value at t = 0 is mu (N+1) rather than 0; see the module tests for
     the short-time behaviour.
     """
-    return _free_passage_sym(p, j, t)[0]
+    return float(_free_passage_sym(p, j, [t])[0][0])
 
 
 def fpt_density_cat(p: ChainParams, j, t) -> float:
-    """First-passage density through 0 with catastrophes (lam == mu), in closed form.
-
-    e^{-xi t} [g_free(t) + xi S_free(t)], with the free density and the
-    free survival both read from one p_free_row (the survival by
-    reflection at 0; see _free_passage_sym).  Catastrophes force passage,
-    so the density starts at xi (for |j| >= 2) and remains normalized;
-    at xi = 0 it is g_free.  fpt_moments_linear is the independent oracle.
-    """
-    g, survival = _free_passage_sym(p, j, t)
-    return math.exp(-p.xi * t) * (g + p.xi * survival)
+    """First-passage density through 0 with catastrophes (lam == mu): fpt_density_cat_curve at one time."""
+    return float(fpt_density_cat_curve(p, j, [t]).samples[0])
 
 
 def fpt_density_cat_curve(p: ChainParams, j, grid) -> Curve:
-    """fpt_density_cat sampled on a grid (lam == mu only)."""
+    """First-passage density through 0 with catastrophes on a grid (lam == mu), in closed form.
+
+    e^{-xi t} [g_free(t) + xi S_free(t)], with the free density and the
+    free survival both read from the free rows of the whole grid (the
+    survival by reflection at 0; see _free_passage_sym).  Catastrophes
+    force passage, so the density starts at xi (for |j| >= 2) and remains
+    normalized; at xi = 0 it is g_free.  Against expm of the sub-generator
+    with 0 absorbing it agrees to 1e-9 relative over N in {10, 40};
+    fpt_moments_linear is the independent oracle of its moments.
+    """
     grid = np.asarray(grid, dtype=float)
-    return Curve(grid, [fpt_density_cat(p, j, float(t)) for t in grid])
+    g, survival = _free_passage_sym(p, j, grid)
+    return Curve(grid, np.exp(-p.xi * grid) * (g + p.xi * survival))
 
 
 def fpt_moments_linear(p: ChainParams, j) -> tuple[float, float]:

@@ -100,20 +100,22 @@ def gauss_2f1_terminating(a, b, c, z):
     """Gauss 2F1(a, b; c; z) for non-positive integer b.
 
     The series terminates after 1 - b terms, so the result is a polynomial
-    in z valid for every real z.  c may not be a non-positive integer
+    in z, defined for every real z.  c may not be a non-positive integer
     reached before termination (that would divide by zero).
+
+    It is Appell F1(a; b, 0; c; z, 0) and is summed by
+    appell_f1_terminating: in floating point while the rounding estimate
+    ``(1 - b) * eps * sum|t|`` stays within ``F1_REL_TARGET * |sum|``, and
+    in exact rational arithmetic otherwise.  So it is within about 1e-11
+    relative for every real z, also where the terms alternate and cancel
+    (at a = 1.5/0.8 + 19, b = -20, c = 1 + a, z = e^{-0.32} the largest
+    term is 7e3 and the sum 3.2e-9).
     """
     m = -_as_nonpositive_int(b, "b")
     cr = round(c)
     if abs(c - cr) < 1e-12 and cr <= 0 and -cr < m:
         raise ValueError(f"c={c} hits a pole before the series terminates (b={b})")
-    terms = []
-    t = 1.0
-    for k in range(m + 1):
-        terms.append(t)
-        if k < m:
-            t *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
-    return _kahan(terms)
+    return appell_f1_terminating(a, b, 0, c, z, 0.0)
 
 
 #: relative accuracy asked of the terminating Appell F1 sum; when the

@@ -70,14 +70,16 @@ def suite_specfun(tol):
         worst = max(worst, abs(got - ref) / max(abs(ref), 1e-300))
     checks.append(CheckResult("appell-f1 vs exact rational", worst <= 1e-11, f"rel {worst:.2e}"))
 
-    # the chain's integral table (positive terms) vs the terminating Gauss
-    # sum, whose alternating terms sum accurately only for small m and
-    # z = e^{-(lam+mu) t} (here m <= 20, z <= 0.3), and vs its Beta value at t = 0
+    # the chain's integral table (positive terms), for several times in one
+    # call, vs the terminating Gauss sum (m <= 20, z = e^{-(lam+mu) t} up to
+    # 0.73, where its alternating terms cancel and it sums exactly) and vs
+    # its Beta value at t = 0
     worst = 0.0
-    for lam, mu, xi, t in [(0.6, 0.6, 0.5, 1.0), (0.2, 0.6, 1.5, 2.0), (0.6, 0.6, 0.5, 0.0)]:
+    for lam, mu, xi, times in [(0.6, 0.6, 0.5, (1.0, 0.0)), (0.2, 0.6, 1.5, (2.0, 0.4))]:
         d = lam + mu
-        for (m, s), got in np.ndenumerate(eh._f_over_c_log_table(eh.ChainParams(10, lam, mu, xi), t)):
-            a = xi / d + s
+        table = eh._f_over_c_log_table(eh.ChainParams(10, lam, mu, xi), times)
+        for (k, m, s), got in np.ndenumerate(table):
+            a, t = xi / d + s, times[k]
             if t > 0.0:
                 ref = math.log(sf.gauss_2f1_terminating(a, -m, 1.0 + a, math.exp(-d * t)) / (a * d))
             else:
@@ -127,11 +129,10 @@ def suite_chain(tol):
                 p = eh.ChainParams(N=N, lam=lam, mu=mu, xi=xi)
                 pm = eh.ChainParams(N=N, lam=mu, mu=lam, xi=xi)
                 grid = np.array([0.5, 2.0])
-                odes = eh.ode_transient(p, 0, grid)
-                for t, o in zip(grid, odes):
-                    rc = eh.p_cat_closed_row(p, 0, t)
+                rows = zip(grid, eh.ode_transient(p, 0, grid), eh.p_cat_closed_rows(p, 0, grid),
+                           eh.p_cat_closed_rows(pm, 0, grid))
+                for t, o, rc, rm in rows:
                     rq = eh.p_cat_quadrature_row(p, 0, t)
-                    rm = eh.p_cat_closed_row(pm, 0, t)
                     worst_tri = max(
                         worst_tri,
                         np.abs(rc.values - rq.values).max(),
@@ -143,6 +144,17 @@ def suite_chain(tol):
     o = eh.ode_transient(p, 20, np.array([0.01]))[0]
     worst_tri = max(worst_tri, np.abs(eh.p_cat_closed_row(p, 20, 0.01).values - o.values).max())
     checks.append(CheckResult("transient oracle triangle", worst_tri <= tol, f"abs {worst_tri:.2e}"))
+
+    # the grid route on the 400-point default grid vs the Kolmogorov ODE
+    worst = 0.0
+    for N in (10, 40):
+        for lam, mu in ((0.6, 0.6), (0.2, 0.6)):
+            p = eh.ChainParams(N=N, lam=lam, mu=mu, xi=0.5)
+            grid = eh.default_time_grid(p)
+            for rc, o in zip(eh.p_cat_closed_rows(p, N // 2, grid), eh.ode_transient(p, N // 2, grid)):
+                worst = max(worst, np.abs(rc.values - o.values).max())
+    checks.append(CheckResult("transient rows on the default grid vs ODE", worst <= tol,
+                              f"abs {worst:.2e}"))
     checks.append(CheckResult("transient normalization", worst_norm <= 1e-9, f"abs {worst_norm:.2e}"))
     checks.append(CheckResult("rate-swap mirror symmetry", worst_sym <= 1e-12, f"abs {worst_sym:.2e}"))
 

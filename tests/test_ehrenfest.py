@@ -293,19 +293,51 @@ def test_transient_normalization_sweep():
 @pytest.mark.parametrize("N", [10, 20, 40, 80])
 def test_chain_laws_vs_expm_and_null_space(N):
     # both closed forms against linear algebra on generator_matrix, over the
-    # region their docstrings state; j = 3 at N = 20, t = 0.1 is where the
-    # earlier alternating-sum table returned NaN
-    times = (1e-3, 1e-2, 0.1, 1.0, 10.0)
-    for lam, mu in ((0.6, 0.6), (0.9, 0.3), (0.3, 0.9)):
-        p = eh.ChainParams(N=N, lam=lam, mu=mu, xi=0.5)
+    # region their docstrings state (lam/mu from 0.1 to 100, xi from 0.05
+    # to 5); j = 3 at N = 20, t = 0.1 is where the earlier alternating-sum
+    # table returned NaN.  The grid form runs once over all times, t = 0
+    # included; the one-time form runs at each time.
+    times = (0.0, 1e-3, 1e-2, 0.1, 1.0, 10.0)
+    for lam, mu, xi in ((0.6, 0.6, 0.5), (0.9, 0.3, 0.5), (0.3, 0.9, 0.5), (2.0, 0.02, 0.5),
+                        (0.1, 1.0, 0.5), (0.6, 0.6, 0.05), (0.6, 0.6, 5.0)):
+        p = eh.ChainParams(N=N, lam=lam, mu=mu, xi=xi)
         Q = eh.generator_matrix(p)
         stat = null_space(Q.T)[:, 0]
         assert eh.q_cat_row(p).values == pytest.approx(stat / stat.sum(), rel=0, abs=1e-12)
-        for t in times:
-            law = expm(Q.T * t)                  # column j + N: the law started at j
-            for j in (N // 2, 3):
+        laws = [expm(Q.T * t) for t in times]          # column j + N: the law started at j
+        for j in (N // 2, 3):
+            for t, law, row in zip(times, laws, eh.p_cat_closed_rows(p, j, times)):
+                assert row.values == pytest.approx(law[:, j + N], rel=0, abs=1e-12)
                 got = eh.p_cat_closed_row(p, j, t).values
                 assert got == pytest.approx(law[:, j + N], rel=0, abs=1e-12)
+
+
+def test_p_cat_closed_rows_equal_single_rows():
+    # unsorted, with a repeated time and t = 0: row k is the one-time row, bit for bit
+    grid = [2.0, 0.0, 0.3, 1e-3, 0.3, 7.5]
+    for p, j in ((P_SYM, 6), (P_ASYM, -3), (eh.ChainParams(N=10, lam=0.6, mu=0.6), 6)):
+        rows = eh.p_cat_closed_rows(p, j, grid)
+        assert len(rows) == len(grid)
+        for t, row in zip(grid, rows):
+            assert np.array_equal(row.values, eh.p_cat_closed_row(p, j, t).values)
+        assert np.array_equal(rows[1].values, np.eye(2 * p.N + 1)[j + p.N])
+    with pytest.raises(ValueError):
+        eh.p_cat_closed_rows(P_SYM, 6, [1.0, -0.5])
+    with pytest.raises(ValueError):
+        eh.p_cat_closed_rows(P_SYM, 6, [])
+
+
+def test_p_cat_closed_rows_long_grid_at_n80():
+    # 400 times at N = 80 run in several slices; spot rows against the
+    # one-time route and against expm
+    p = eh.ChainParams(N=80, lam=0.9, mu=0.3, xi=0.5)
+    grid = np.linspace(0.0, 10.0, 400)
+    rows = eh.p_cat_closed_rows(p, 40, grid)
+    Q = eh.generator_matrix(p)
+    for k in (0, 1, 57, 200, 399):
+        assert np.array_equal(rows[k].values, eh.p_cat_closed_row(p, 40, grid[k]).values)
+        law = expm(Q.T * grid[k])[:, 40 + 80]
+        assert rows[k].values == pytest.approx(law, rel=0, abs=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -411,9 +443,9 @@ def test_fpt_cat_density_zero_xi_reduction():
 
 def test_fpt_cat_curve_matches_pointwise():
     grid = np.linspace(0.0, 4.0, 41)
-    curve = eh.fpt_density_cat_curve(P_SYM, 3, grid)
-    for t, v in zip(grid[1::10], curve.samples[1::10]):
-        assert v == pytest.approx(eh.fpt_density_cat(P_SYM, 3, float(t)), abs=1e-9)
+    for j in (3, -1):
+        curve = eh.fpt_density_cat_curve(P_SYM, j, grid)
+        assert list(curve.samples) == [eh.fpt_density_cat(P_SYM, j, float(t)) for t in grid]
 
 
 @pytest.mark.parametrize("N", [10, 40])

@@ -7,6 +7,7 @@ erfc), and frozen values computed from those oracles.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -88,6 +89,17 @@ def test_gauss_2f1_alternating_sum_instance():
         for l in range(21)
     )
     assert got == pytest.approx(alt, rel=1e-11)
+
+
+def test_gauss_2f1_cancelling_sum_vs_mpmath():
+    # the chain's integral table at lam=0.2, mu=0.6, xi=1.5, s=19, m=20,
+    # t=0.4: alternating terms up to 7e3 that sum to 3.2e-9, where the
+    # float sum alone is 2.2e-4 relative off
+    a, z = 1.5 / 0.8 + 19, math.exp(-0.32)
+    c = 1.0 + a
+    with mpmath.workdps(50):
+        ref = float(mpmath.hyp2f1(a, -20, c, z))
+    assert sf.gauss_2f1_terminating(a, -20, c, z) == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def test_gauss_2f1_rejects_bad_b():
