@@ -185,6 +185,7 @@ def cmd_simulate(args):
                 "fpt_mean": _fmt(est.mean.value), "fpt_mean_se": _fmt(est.mean.std_error),
                 "fpt_variance": _fmt(est.variance.value),
                 "censored": est.n_censored}
+    meta["stream"] = mc.STREAM_VERSION
     path = args.out or os.path.join(_out_dir(args), f"simulate_{args.model}.csv")
     write_csv(path, meta, cols)
     print(path)

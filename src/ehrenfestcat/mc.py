@@ -1,17 +1,26 @@
 """Monte Carlo oracles for the chain and the jump-diffusion.
 
-Chain paths are simulated event by event with exponential clocks;
-diffusion paths advance by exact transition sampling between reset
-epochs, so the moments carry no discretization bias at any step size.
-Every path draws from its own counter-based stream keyed by
-(seed, path_index) (Philox), which makes each trajectory a pure function
-of those two integers regardless of chunking, execution order or worker
-count.
+Path i of seed s draws from numpy's Philox4x64-10 keyed [s, i].  The
+second counter word splits that stream into sub-streams, sub-stream m
+starting at counter [0, m, 0, 0].  The chain draws from sub-stream 0,
+which is ``Generator(Philox(key=[s, i]))`` itself: per event a uniform
+for the holding time, then one for the edge.  The diffusion (stream
+version 2) draws its reset clock from sub-stream 0, its bridge clock
+from sub-stream 1 and the 256 ziggurat normals of grid block b from
+sub-stream 2 + b.  One bit generator is positioned at each lane's
+sub-stream in turn, so every path is a function of (seed, i) alone, and
+the estimators advance all paths of a chunk in lockstep: one numpy
+operation does one chain event, or one window of OU grid steps, for
+every path still running.
 
-Diffusion first-passage times are detected by sign changes on a uniform
-grid (plus exact reset times); the bias of that detector is positive and
-shrinks with the step, which the estimator reports by re-running at half
-the step.
+Diffusion endpoints are exact with no grid: the time back from t to the
+last reset is min(Exp(xi), t), then one Gaussian transition.  A reset
+puts the process at 0, so the passage time is min(R, C), where R ~
+Exp(xi) is the first reset epoch, drawn up front, and C is the end of
+the first grid step in which the free path crosses 0, by a sign change
+or by a Brownian-bridge crossing (see _ou_fpt_times).  C is high by less
+than one step, which the estimator reports by re-running at half the
+step.  Passage times past the horizon are censored.
 """
 
 from __future__ import annotations
@@ -31,7 +40,6 @@ __all__ = [
     "FptEstimate",
     "ChainPath",
     "OuPath",
-    "path_rng",
     "simulate_chain_path",
     "simulate_chain_path_clock",
     "estimate_chain_law",
@@ -42,10 +50,20 @@ __all__ = [
     "default_horizon",
 ]
 
-#: per-path streams are consumed in fixed blocks of this many grid steps
-#: (three arrays per block: normals, reset uniforms, reset-time uniforms),
-#: so chunked estimators reproduce single-path trajectories exactly
+#: version of the diffusion's stream layout, written into `simulate` CSVs
+STREAM_VERSION = 2
+
+#: OU grid steps per normal sub-stream
 OU_BLOCK = 256
+
+#: OU sub-streams: the reset clock, the bridge clock, then one per normal block
+_RESET_CLOCK, _BRIDGE_CLOCK, _NORMALS = 0, 1, 2
+
+#: uniforms drawn per chain lane at a time (16 Philox blocks, 32 events)
+_CHAIN_WORDS = 64
+
+#: lanes per lockstep chunk; bounds the (lanes x words) arrays to 8 MB
+_CHAIN_LANES, _OU_LANES = 16384, 4096
 
 _CENSOR_FLAG_FRACTION = 1e-3
 
@@ -81,8 +99,10 @@ class EstimateWithError:
     n: int
 
     def __post_init__(self):
-        if self.std_error < 0.0:
-            raise ValueError("std_error must be non-negative")
+        if not (math.isfinite(self.value) and math.isfinite(self.std_error)
+                and self.std_error >= 0.0):
+            raise ValueError(f"estimate {self.value} +- {self.std_error} needs a finite value "
+                             "and a finite non-negative std_error")
 
 
 @dataclass(frozen=True)
@@ -102,6 +122,8 @@ class ChainPath:
     states: np.ndarray
 
     def state_at(self, t):
+        if not t >= self.times[0]:
+            raise ValueError(f"t={t} precedes the path's start {self.times[0]}")
         idx = np.searchsorted(self.times, t, side="right") - 1
         return int(self.states[idx])
 
@@ -130,10 +152,29 @@ class FptEstimate:
     mean_half_step: EstimateWithError | None = None
 
 
-def path_rng(seed, path_index) -> np.random.Generator:
-    """Counter-based stream for one path, keyed by (seed, path_index)."""
-    key = np.array([seed, path_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+class _LaneStreams:
+    """One Philox4x64 bit generator, positioned in turn at sub-streams of
+    the lanes keyed [seed, lane] through its ``state`` setter.  It is built
+    from seed 0 (no OS entropy is read); every positioning replaces its key."""
+
+    def __init__(self, seed):
+        self.seed = seed
+        self.gen = np.random.Generator(np.random.Philox(0))
+
+    def at(self, lane, sub=0, block=0) -> np.random.Generator:
+        """The generator after `block` Philox blocks of sub-stream `sub` of `lane`."""
+        self.gen.bit_generator.state = {
+            "bit_generator": "Philox", "state": {"counter": [block, sub, 0, 0], "key": [self.seed, lane]},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        return self.gen
+
+    def rows(self, lanes, n, draw, sub=0, block=0):
+        """(lanes, n) array: row r holds n draws of the method `draw` of
+        the generator at sub-stream `sub`, block `block` of lanes[r]."""
+        out = np.empty((len(lanes), n))
+        for row, lane in zip(out, lanes.tolist()):
+            getattr(self.at(lane, sub, block), draw)(out=row)
+        return out
 
 
 def default_horizon(model) -> float:
@@ -154,16 +195,60 @@ def default_fpt_grid_dt(d: DiffusionParams) -> float:
 # chain simulation
 
 
-def _rate_table(p: ChainParams):
-    """Per state: target states, cumulative jump probabilities, total rate."""
-    table = []
+def _chain_table(p: ChainParams):
+    """Per state index k + N: the target indices of its (at most three)
+    edges, the cumulative jump probabilities of all but the last edge,
+    padded with +inf, and the total rate.  The edge of a uniform u is then
+    the count of cumulative entries below u (searchsorted, side left)."""
+    targets = np.zeros((2 * p.N + 1, 3), dtype=np.int64)
+    cum = np.full((2 * p.N + 1, 2), np.inf)
+    total = np.empty(2 * p.N + 1)
     for k in range(-p.N, p.N + 1):
         edges = rates(p, k)
-        targets = np.array([t for t, _ in edges], dtype=np.int64)
         rvals = np.array([r for _, r in edges])
-        total = rvals.sum()
-        table.append((targets, np.cumsum(rvals) / total, total))
-    return table
+        total[k + p.N] = rvals.sum()
+        cum[k + p.N, : len(edges) - 1] = (np.cumsum(rvals) / total[k + p.N])[:-1]
+        targets[k + p.N, : len(edges)] = [t + p.N for t, _ in edges]
+    return targets, cum, total
+
+
+def _chain_lanes(p: ChainParams, j, seed, lanes, until, absorb=False, trace=None):
+    """Run the chain from j on every lane in lockstep, one event per step.
+
+    Each event draws the holding time and then the edge.  A lane stops at
+    its first event time at or past `until`, in the state it then holds,
+    or, with `absorb`, at its first jump into 0.  Returns per lane the
+    final state and the time of the jump into 0 (nan if none).  With
+    `trace` a list, every jump appends (lane positions, times, indices k + N).
+    Lanes run in chunks of _CHAIN_LANES.
+    """
+    targets, cum, total = _chain_table(p)
+    streams = _LaneStreams(seed)
+    state, hit = np.empty(len(lanes), dtype=np.int64), np.full(len(lanes), np.nan)
+    for chunk in range(0, len(lanes), _CHAIN_LANES):
+        pos = np.arange(chunk, min(chunk + _CHAIN_LANES, len(lanes)))
+        k, clock, block = np.full(pos.size, j + p.N), np.zeros(pos.size), 0
+        while pos.size:
+            u = streams.rows(lanes[pos], _CHAIN_WORDS, "random", block=block)
+            block += _CHAIN_WORDS // 4
+            row = np.arange(pos.size)
+            for e in range(0, _CHAIN_WORDS, 2):
+                clock = clock + -np.log1p(-u[row, e]) / total[k]
+                stop = clock >= until
+                k = np.where(stop, k, targets[k, (cum[k] < u[row, e + 1, None]).sum(axis=1)])
+                if absorb:
+                    zero = ~stop & (k == p.N)
+                    hit[pos[zero]] = clock[zero]
+                    stop |= zero
+                if stop.any():
+                    state[pos[stop]] = k[stop]
+                    keep = ~stop
+                    pos, row, k, clock = pos[keep], row[keep], k[keep], clock[keep]
+                    if not pos.size:
+                        break
+                if trace is not None:
+                    trace.append((pos, clock, k))
+    return state - p.N, hit
 
 
 def simulate_chain_path(p: ChainParams, j, cfg: SimConfig, path_index) -> ChainPath:
@@ -171,24 +256,15 @@ def simulate_chain_path(p: ChainParams, j, cfg: SimConfig, path_index) -> ChainP
 
     At state k the holding time is exponential with the total outgoing
     rate and the next state is drawn proportionally to the individual
-    rates (catastrophe edges included).
+    rates (catastrophe edges included).  This is the estimators' kernel
+    run on the one lane `path_index`, recording its jumps.
     """
     j = p.check_state(j, "j")
     horizon = cfg.horizon if cfg.horizon is not None else default_horizon(p)
-    rng = path_rng(cfg.seed, path_index)
-    table = _rate_table(p)
-    times = [0.0]
-    states = [j]
-    t = 0.0
-    k = j
-    while True:
-        targets, cum, total = table[k + p.N]
-        t += -math.log1p(-rng.random()) / total
-        if t >= horizon:
-            break
-        k = int(targets[np.searchsorted(cum, rng.random())])
-        times.append(t)
-        states.append(k)
+    trace = []
+    _chain_lanes(p, j, cfg.seed, np.array([path_index]), horizon, trace=trace)
+    times = [0.0] + [float(c[0]) for _, c, _ in trace]
+    states = [j] + [int(k[0]) - p.N for _, _, k in trace]
     return ChainPath(np.array(times), np.array(states, dtype=np.int64))
 
 
@@ -196,13 +272,13 @@ def simulate_chain_path_clock(p: ChainParams, j, cfg: SimConfig, path_index) -> 
     """One trajectory with catastrophes as an independent Poisson(xi) clock.
 
     Statistically equivalent to the merged-rate simulator; kept as a
-    cross-check of the rate bookkeeping (catastrophes landing while the
-    chain already sits at 0 are invisible and not recorded).
+    scalar cross-check of the rate bookkeeping (catastrophes landing while
+    the chain already sits at 0 are invisible and not recorded).
     """
     j = p.check_state(j, "j")
     horizon = cfg.horizon if cfg.horizon is not None else default_horizon(p)
-    rng = path_rng(cfg.seed, path_index)
-    free = _rate_table(ChainParams(N=p.N, lam=p.lam, mu=p.mu, xi=0.0))
+    rng = _LaneStreams(cfg.seed).at(path_index)
+    targets, cum, total = _chain_table(ChainParams(N=p.N, lam=p.lam, mu=p.mu, xi=0.0))
     times = [0.0]
     states = [j]
     t = 0.0
@@ -211,8 +287,7 @@ def simulate_chain_path_clock(p: ChainParams, j, cfg: SimConfig, path_index) -> 
     if p.xi > 0.0:
         next_cat = -math.log1p(-rng.random()) / p.xi
     while True:
-        targets, cum, total = free[k + p.N]
-        t_move = t + -math.log1p(-rng.random()) / total
+        t_move = t + -math.log1p(-rng.random()) / total[k + p.N]
         if next_cat < t_move:
             t = next_cat
             next_cat = t + -math.log1p(-rng.random()) / p.xi
@@ -226,35 +301,22 @@ def simulate_chain_path_clock(p: ChainParams, j, cfg: SimConfig, path_index) -> 
         t = t_move
         if t >= horizon:
             break
-        k = int(targets[np.searchsorted(cum, rng.random())])
+        k = int(targets[k + p.N, np.searchsorted(cum[k + p.N], rng.random())]) - p.N
         times.append(t)
         states.append(k)
     return ChainPath(np.array(times), np.array(states, dtype=np.int64))
-
-
-def _chain_state_at(table, N, j, t, rng):
-    k = j
-    elapsed = 0.0
-    while True:
-        targets, cum, total = table[k + N]
-        elapsed += -math.log1p(-rng.random()) / total
-        if elapsed > t:
-            return k
-        k = int(targets[np.searchsorted(cum, rng.random())])
 
 
 def estimate_chain_law(p: ChainParams, j, t, cfg: SimConfig) -> LawEstimate:
     """Empirical law of M(t) over cfg.n_paths independent paths."""
     j = p.check_state(j, "j")
     horizon = cfg.horizon if cfg.horizon is not None else default_horizon(p)
-    if t > horizon:
-        raise ValueError(f"t={t} exceeds the simulation horizon {horizon}")
-    table = _rate_table(p)
-    counts = np.zeros(2 * p.N + 1, dtype=np.int64)
-    for i in range(cfg.n_paths):
-        rng = path_rng(cfg.seed, i)
-        counts[_chain_state_at(table, p.N, j, t, rng) + p.N] += 1
-    phat = counts / cfg.n_paths
+    if not 0.0 <= t <= horizon:
+        raise ValueError(f"t={t} is outside [0, horizon={horizon}]")
+    # the state held at t is the one a lane holds at its first event time > t
+    until = np.nextafter(t, np.inf)
+    state, _ = _chain_lanes(p, j, cfg.seed, np.arange(cfg.n_paths), until)
+    phat = np.bincount(state + p.N, minlength=2 * p.N + 1) / cfg.n_paths
     se = np.sqrt(phat * (1.0 - phat) / cfg.n_paths)
     return LawEstimate(ProbVector(p.N, phat), se, cfg.n_paths)
 
@@ -262,95 +324,76 @@ def estimate_chain_law(p: ChainParams, j, t, cfg: SimConfig) -> LawEstimate:
 # ----------------------------------------------------------------------
 # diffusion simulation
 
-def _ou_step_coeffs(d: DiffusionParams, dt):
-    ea = math.exp(-d.alpha * dt)
-    sd = math.sqrt(0.5 * d.nu * -math.expm1(-2.0 * d.alpha * dt))
-    p_reset = -math.expm1(-d.xi * dt) if d.xi > 0.0 else 0.0
-    return ea, sd, p_reset
+
+def _ou_transition(d: DiffusionParams, x0, dt):
+    """Mean and standard deviation of X(dt) given X(0) = x0, without resets."""
+    mean = d.beta + (x0 - d.beta) * np.exp(-d.alpha * dt)
+    return mean, np.sqrt(0.5 * d.nu * -np.expm1(-2.0 * d.alpha * dt))
 
 
-def _draw_block(rng):
-    """Fixed per-block consumption: normals, reset uniforms, reset-time uniforms."""
-    z = rng.standard_normal(OU_BLOCK)
-    u = rng.random(OU_BLOCK)
-    v = rng.random(OU_BLOCK)
-    return z, u, v
+def _exp_clock(streams, lanes, rate, sub=_RESET_CLOCK):
+    """First event time of a Poisson(rate) clock per lane (inf at rate 0)."""
+    if rate == 0.0:
+        return np.full(len(lanes), np.inf)
+    return -np.log1p(-streams.rows(lanes, 1, "random", sub=sub)[:, 0]) / rate
 
 
 def simulate_ou_path(d: DiffusionParams, y, cfg: SimConfig, path_index) -> OuPath:
-    """One reset-OU trajectory sampled exactly on the uniform grid.
+    """One reset-OU trajectory sampled exactly on the uniform grid, step by step.
 
-    Between grid points the process advances by the exact transition
-    (mean-reverting Gaussian); a step containing at least one reset
-    replaces the update by an exact draw started from 0 at the last
-    reset epoch, whose backward time is drawn from the truncated
-    exponential.  Randomness is consumed in OU_BLOCK-step blocks so that
-    the chunked estimators replay identical trajectories.
+    The reset epochs are the Poisson(xi) clock of the lane's sub-stream 0.
+    A step that contains a reset is an exact draw started from 0 at the
+    last reset epoch in it; any other step is the exact transition.  Kept
+    as the scalar cross-check of the estimators' kernels.
     """
+    if not math.isfinite(y):
+        raise ValueError(f"start must be finite, got {y}")
     horizon = cfg.horizon if cfg.horizon is not None else default_horizon(d)
     dt = cfg.fpt_grid_dt if cfg.fpt_grid_dt is not None else default_fpt_grid_dt(d)
     n_steps = int(math.ceil(horizon / dt - 1e-12))
-    rng = path_rng(cfg.seed, path_index)
-    ea, sd, p_reset = _ou_step_coeffs(d, dt)
+    streams = _LaneStreams(cfg.seed)
+    # the reset clock has a generator of its own: `streams` moves to each normal block
+    resets = _LaneStreams(cfg.seed).at(path_index, _RESET_CLOCK)
+    reset = -math.log1p(-resets.random()) / d.xi if d.xi > 0.0 else math.inf
+    ea, sd = math.exp(-d.alpha * dt), math.sqrt(0.5 * d.nu * -math.expm1(-2.0 * d.alpha * dt))
     values = np.empty(n_steps + 1)
-    values[0] = y
-    x = y
-    step = 0
-    while step < n_steps:
-        z, u, v = _draw_block(rng)
-        for k in range(min(OU_BLOCK, n_steps - step)):
-            if p_reset > 0.0 and u[k] < p_reset:
-                back = -math.log1p(-v[k] * p_reset) / d.xi
-                m = d.beta * -math.expm1(-d.alpha * back)
-                s = math.sqrt(0.5 * d.nu * -math.expm1(-2.0 * d.alpha * back))
-                x = m + s * z[k]
-            else:
-                x = d.beta + (x - d.beta) * ea + sd * z[k]
-            values[step + k + 1] = x
-        step += OU_BLOCK
+    values[0] = x = y
+    for step in range(n_steps):
+        if step % OU_BLOCK == 0:
+            z = streams.at(path_index, _NORMALS + step // OU_BLOCK).standard_normal(OU_BLOCK)
+        t_next, back = (step + 1) * dt, None
+        while reset <= t_next:
+            back, reset = t_next - reset, reset - math.log1p(-resets.random()) / d.xi
+        if back is None:
+            x = d.beta + (x - d.beta) * ea + sd * z[step % OU_BLOCK]
+        else:
+            mean, s = _ou_transition(d, 0.0, back)
+            x = float(mean + s * z[step % OU_BLOCK])
+        values[step + 1] = x
     return OuPath(np.arange(n_steps + 1) * dt, values)
 
 
-def _ou_endpoint_chunk(d: DiffusionParams, y, dt, n_steps, seed, indices):
-    """Endpoint X(n_steps * dt) for the given path indices, block-replayed."""
-    gens = [path_rng(seed, i) for i in indices]
-    ea, sd, p_reset = _ou_step_coeffs(d, dt)
-    x = np.full(len(gens), float(y))
-    step = 0
-    while step < n_steps:
-        block = [_draw_block(g) for g in gens]
-        z = np.stack([b[0] for b in block])
-        u = np.stack([b[1] for b in block])
-        v = np.stack([b[2] for b in block])
-        for k in range(min(OU_BLOCK, n_steps - step)):
-            if p_reset > 0.0:
-                reset = u[:, k] < p_reset
-                back = -np.log1p(-v[:, k] * p_reset) / d.xi
-                m = d.beta * -np.expm1(-d.alpha * back)
-                s = np.sqrt(0.5 * d.nu * -np.expm1(-2.0 * d.alpha * back))
-                x = np.where(reset, m + s * z[:, k], d.beta + (x - d.beta) * ea + sd * z[:, k])
-            else:
-                x = d.beta + (x - d.beta) * ea + sd * z[:, k]
-        step += OU_BLOCK
-    return x
+def sample_ou_endpoints(d: DiffusionParams, y, t, cfg: SimConfig) -> np.ndarray:
+    """X(t) across cfg.n_paths paths, exact in distribution (no grid).
 
-
-def sample_ou_endpoints(d: DiffusionParams, y, t, cfg: SimConfig, chunk=2048) -> np.ndarray:
-    """X(t) across cfg.n_paths paths, exact in distribution for any grid step."""
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t}")
-    dt_target = cfg.fpt_grid_dt if cfg.fpt_grid_dt is not None else default_fpt_grid_dt(d)
-    n_steps = max(1, int(round(t / dt_target)))
-    dt = t / n_steps
-    out = np.empty(cfg.n_paths)
-    for lo in range(0, cfg.n_paths, chunk):
-        idx = range(lo, min(lo + chunk, cfg.n_paths))
-        out[lo : lo + len(idx)] = _ou_endpoint_chunk(d, y, dt, n_steps, cfg.seed, idx)
-    return out
+    The time back from t to the last reset is min(Exp(xi), t); the path
+    then moves by one Gaussian transition from 0 over that time, or from y
+    over all of t when no reset came.
+    """
+    if not (t > 0.0 and math.isfinite(y)):
+        raise ValueError(f"need t > 0 and a finite start, got t={t}, y={y}")
+    streams = _LaneStreams(cfg.seed)
+    lanes = np.arange(cfg.n_paths)
+    back = np.minimum(_exp_clock(streams, lanes, d.xi), t)
+    z = streams.rows(lanes, 1, "standard_normal", sub=_NORMALS)[:, 0]
+    mean, s = _ou_transition(d, np.where(back < t, 0.0, y), back)
+    return mean + s * z
 
 
 def estimate_ou_moments(d: DiffusionParams, y, t, cfg: SimConfig):
     """Sample mean and second moment of X(t) with standard errors."""
+    if cfg.n_paths < 2:
+        raise ValueError(f"moments need at least 2 paths, got {cfg.n_paths}")
     x = sample_ou_endpoints(d, y, t, cfg)
     n = x.size
     mean = float(x.mean())
@@ -364,102 +407,70 @@ def estimate_ou_moments(d: DiffusionParams, y, t, cfg: SimConfig):
 # first-passage estimation
 
 
-def _chain_fpt_times(p: ChainParams, j, cfg: SimConfig, horizon):
-    table = _rate_table(p)
-    times = np.empty(cfg.n_paths)
-    censored = 0
-    for i in range(cfg.n_paths):
-        rng = path_rng(cfg.seed, i)
-        k = j
-        t = 0.0
-        while True:
-            targets, cum, total = table[k + p.N]
-            t += -math.log1p(-rng.random()) / total
-            if t >= horizon:
-                times[i] = np.nan
-                censored += 1
-                break
-            k = int(targets[np.searchsorted(cum, rng.random())])
-            if k == 0:
-                times[i] = t
-                break
-    return times, censored
+def _ou_fpt_times(d: DiffusionParams, y, dt, horizon, cfg: SimConfig):
+    """Passage time through 0 per lane (see the module docstring), nan past the horizon.
 
-
-def _ou_fpt_chunk(d: DiffusionParams, y, dt, horizon, seed, indices, fpt_out):
-    """Grid-detected first-passage times for the given paths (nan = censored).
-
-    A path is stopped at the first grid step whose endpoint changes sign
-    (recorded at the grid time, a positively biased estimate) or that
-    contains a reset (recorded at the exact last-reset epoch).  Writes
-    into fpt_out at the global path indices.
+    Windows of w steps, alpha * dt * w <= 1, keep the weights e^{alpha dt j}
+    near 1: x_k = beta + e^{-alpha dt k} (x_0 - beta + sum_{j<=k} sd
+    e^{alpha dt j} z_j) is one cumsum over all lanes.  The bridge between
+    x_{k-1} and x_k of one sign touches 0 with chance exp(-a), a = 2
+    e^{-alpha dt} x_{k-1} x_k / sd^2 (exact at beta = 0, where X is a
+    time-changed Brownian motion; a locally linear boundary otherwise); the
+    first crossing is the first step at which the summed hazard -log(1 -
+    e^{-a}) reaches the lane's Exp(1) bridge clock.  Lanes run in chunks
+    of _OU_LANES.
     """
-    ea, sd, p_reset = _ou_step_coeffs(d, dt)
-    alpha, beta, nu, xi = d.alpha, d.beta, d.nu, d.xi
-    n_steps = int(math.ceil(horizon / dt - 1e-12))
-    gens = [path_rng(seed, i) for i in indices]
-    alive = np.arange(len(gens))
-    idx_global = np.asarray(indices, dtype=np.int64)
-    x = np.full(len(gens), float(y))
-    step = 0
-    while step < n_steps and alive.size:
-        nb = min(OU_BLOCK, n_steps - step)
-        zb = np.empty((alive.size, OU_BLOCK))
-        ub = np.empty((alive.size, OU_BLOCK))
-        vb = np.empty((alive.size, OU_BLOCK))
-        for r, pos in enumerate(alive):
-            zb[r], ub[r], vb[r] = _draw_block(gens[pos])
-        xa = x[alive]
-        live = np.ones(alive.size, dtype=bool)
-        fpt_local = np.full(alive.size, np.nan)
-        for k in range(nb):
-            zk = zb[:, k]
-            x_new = beta + (xa - beta) * ea + sd * zk
-            if p_reset > 0.0:
-                rmask = ub[:, k] < p_reset
-                if rmask.any():
-                    back = -np.log1p(-vb[rmask, k] * p_reset) / xi
-                    x_new[rmask] = (
-                        beta * -np.expm1(-alpha * back)
-                        + np.sqrt(0.5 * nu * -np.expm1(-2.0 * alpha * back)) * zk[rmask]
-                    )
-                crossed = live & ((x_new * xa <= 0.0) | rmask)
-            else:
-                rmask = None
-                crossed = live & (x_new * xa <= 0.0)
-            if crossed.any():
-                t_next = (step + k + 1) * dt
-                fpt_local[crossed] = t_next
-                if rmask is not None:
-                    hit_reset = crossed & rmask
-                    if hit_reset.any():
-                        back_all = -np.log1p(-vb[:, k] * p_reset) / xi
-                        fpt_local[hit_reset] = t_next - back_all[hit_reset]
-                live &= ~crossed
-                if not live.any():
-                    xa = x_new
+    ea = math.exp(-d.alpha * dt)
+    _, sd = _ou_transition(d, 0.0, dt)
+    w = max(1, min(OU_BLOCK, int(1.0 / (d.alpha * dt))))
+    steps = np.arange(1.0, w + 1.0)
+    gain, decay = sd * ea**-steps, ea**steps
+    streams, lanes = _LaneStreams(cfg.seed), np.arange(cfg.n_paths)
+    fpt = _exp_clock(streams, lanes, d.xi)
+    stop = np.minimum(fpt, horizon)
+    clock = _exp_clock(streams, lanes, 1.0, sub=_BRIDGE_CLOCK)
+    for chunk in range(0, cfg.n_paths, _OU_LANES):
+        pos = np.arange(chunk, min(chunk + _OU_LANES, cfg.n_paths))
+        x, hazard, block = np.full(pos.size, float(y)), 0.0, 0
+        while pos.size:
+            z = streams.rows(lanes[pos], OU_BLOCK, "standard_normal", sub=_NORMALS + block)
+            row = np.arange(pos.size)
+            for lo in range(0, OU_BLOCK, w):
+                m = min(w, OU_BLOCK - lo)
+                path = d.beta + decay[:m] * (x[:, None] - d.beta
+                                             + np.cumsum(gain[:m] * z[row, lo : lo + m], axis=1))
+                a = (2.0 * ea / sd**2) * np.hstack([x[:, None], path[:, :-1]]) * path
+                # a <= 0 is a sign change (hazard inf); a is clipped at 700 because
+                # subnormal results make exp 14 times slower
+                with np.errstate(divide="ignore"):
+                    hazard = hazard + np.cumsum(-np.log1p(-np.exp(-np.clip(a, 0.0, 700.0))), axis=1)
+                crossed = hazard >= clock[pos, None]
+                first = crossed.argmax(axis=1)
+                hit = crossed[np.arange(row.size), first]
+                step0 = block * OU_BLOCK + lo
+                fpt[pos[hit]] = np.minimum(fpt[pos[hit]], (step0 + first[hit] + 1) * dt)
+                keep = ~hit & ((step0 + m) * dt < stop[pos])
+                pos, row, x, hazard = pos[keep], row[keep], path[keep, -1], hazard[keep, -1, None]
+                if not pos.size:
                     break
-            xa = x_new
-        done = ~np.isnan(fpt_local)
-        fpt_out[idx_global[alive[done]]] = fpt_local[done]
-        x[alive] = xa
-        alive = alive[live]
-        step += OU_BLOCK
+            block += 1
+    fpt[fpt > horizon] = np.nan
+    return fpt
 
 
-def _moment_estimates(times, censored, n_total):
+def _moment_estimates(times):
     finite = times[~np.isnan(times)]
     n = finite.size
+    if n < 2:
+        raise ValueError(f"{times.size - n} of {times.size} paths are censored at the horizon; "
+                         "passage moments need at least 2 uncensored paths")
     mean = float(finite.mean())
     var = float(finite.var(ddof=1))
     se_mean = float(math.sqrt(var / n))
     centered = finite - mean
     m4 = float((centered**4).mean())
     se_var = float(math.sqrt(max(m4 - var**2, 0.0) / n))
-    return (
-        EstimateWithError(mean, se_mean, n),
-        EstimateWithError(var, se_var, n),
-    )
+    return EstimateWithError(mean, se_mean, n), EstimateWithError(var, se_var, n)
 
 
 def _fpt_histogram(times, n_total, n_bins=50) -> Curve:
@@ -477,27 +488,30 @@ def estimate_fpt(model, start, cfg: SimConfig, half_step_check=True) -> FptEstim
     """First-passage-time estimates through 0 from a nonzero start.
 
     Chain passage times are exact event times; diffusion passage times
-    are grid-detected (positively biased by at most the grid resolution
-    plus missed within-step excursions) and the estimate is re-run at
-    half the step so the bias can be judged.  Paths that outlive the
-    horizon are censored, counted, and flag the estimate beyond 0.1%.
+    are min(first reset epoch, end of the first grid step that crosses
+    0), biased high by less than one step, and the estimate is re-run at
+    half the step so the bias can be judged.  Paths that outlive the horizon are
+    censored, counted, and flag the estimate beyond 0.1%; fewer than two
+    uncensored paths raise ValueError.
     """
     if start == 0:
         raise ValueError("first passage from 0 is degenerate")
     horizon = cfg.horizon if cfg.horizon is not None else default_horizon(model)
+    half = None
     if isinstance(model, ChainParams):
-        times, censored = _chain_fpt_times(model, model.check_state(start, "start"), cfg, horizon)
-        half = None
+        start = model.check_state(start, "start")
+        _, times = _chain_lanes(model, start, cfg.seed, np.arange(cfg.n_paths), horizon, absorb=True)
     elif isinstance(model, DiffusionParams):
+        if not math.isfinite(start):
+            raise ValueError(f"start must be finite, got {start}")
         dt = cfg.fpt_grid_dt if cfg.fpt_grid_dt is not None else default_fpt_grid_dt(model)
-        times, censored = _ou_fpt_times(model, start, dt, horizon, cfg)
-        half = None
+        times = _ou_fpt_times(model, start, dt, horizon, cfg)
         if half_step_check:
-            times_h, censored_h = _ou_fpt_times(model, start, dt / 2.0, horizon, cfg)
-            half, _ = _moment_estimates(times_h, censored_h, cfg.n_paths)
+            half, _ = _moment_estimates(_ou_fpt_times(model, start, dt / 2.0, horizon, cfg))
     else:
         raise TypeError(f"model must be ChainParams or DiffusionParams, got {type(model)}")
-    mean, variance = _moment_estimates(times, censored, cfg.n_paths)
+    censored = int(np.isnan(times).sum())
+    mean, variance = _moment_estimates(times)
     frac = censored / cfg.n_paths
     return FptEstimate(
         mean=mean,
@@ -508,12 +522,3 @@ def estimate_fpt(model, start, cfg: SimConfig, half_step_check=True) -> FptEstim
         flagged=frac > _CENSOR_FLAG_FRACTION,
         mean_half_step=half,
     )
-
-
-def _ou_fpt_times(d, start, dt, horizon, cfg, chunk=8192):
-    times = np.full(cfg.n_paths, np.nan)
-    for lo in range(0, cfg.n_paths, chunk):
-        idx = range(lo, min(lo + chunk, cfg.n_paths))
-        _ou_fpt_chunk(d, start, dt, horizon, cfg.seed, idx, times)
-    censored = int(np.isnan(times).sum())
-    return times, censored

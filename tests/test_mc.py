@@ -5,6 +5,7 @@ was verified to pass at build time and any later failure means the
 estimator (not the luck) changed.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,6 +29,25 @@ def test_simconfig_validation():
         mc.SimConfig(seed=1, n_paths=10, horizon=-1.0)
     with pytest.raises(ValueError):
         mc.EstimateWithError(1.0, -0.5, 10)
+    for value, se in ((math.nan, 0.1), (1.0, math.nan), (math.inf, 0.1), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="finite value"):
+            mc.EstimateWithError(value, se, 10)
+
+
+def _scalar_chain_path(p, j, seed, lane, horizon):
+    """Reference: the merged-rate event loop, one scalar draw at a time, on
+    numpy's own Generator(Philox(key=[seed, lane]))."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, lane], dtype=np.uint64)))
+    times, states, t, k = [0.0], [j], 0.0, j
+    while True:
+        edges = eh.rates(p, k)
+        rvals = np.array([r for _, r in edges])
+        t += -math.log1p(-rng.random()) / rvals.sum()
+        if t >= horizon:
+            return np.array(times), np.array(states)
+        k = edges[np.searchsorted(np.cumsum(rvals) / rvals.sum(), rng.random())][0]
+        times.append(t)
+        states.append(k)
 
 
 def test_chain_path_determinism():
@@ -84,13 +104,24 @@ def test_estimate_chain_law_long_time_is_stationary():
 
 
 def test_estimate_chain_law_consistent_with_path_simulator():
-    cfg = mc.SimConfig(seed=77, n_paths=1, horizon=5.0)
-    table = mc._rate_table(P)
-    for idx in range(20):
-        path = mc.simulate_chain_path(P, 6, cfg, idx)
-        rng = mc.path_rng(cfg.seed, idx)
-        state = mc._chain_state_at(table, P.N, 6, 1.3, rng)
-        assert state == path.state_at(1.3)
+    # the lockstep kernel over 20 lanes at once (with refills: about 60
+    # events per lane) against the one-lane path and the scalar event loop
+    # on numpy's own stream: states bit for bit, event times to a few ulps
+    # (numpy's log1p and libm's differ by 1 ulp on some inputs)
+    cfg = mc.SimConfig(seed=77, n_paths=20, horizon=5.0)
+    paths = [mc.simulate_chain_path(P, 6, cfg, idx) for idx in range(20)]
+    for idx, path in enumerate(paths):
+        times, states = _scalar_chain_path(P, 6, cfg.seed, idx, cfg.horizon)
+        assert np.array_equal(path.states, states)
+        np.testing.assert_allclose(path.times, times, rtol=1e-15, atol=0.0)
+    for t in (0.0, 0.3, 1.3, 4.9):
+        lanes, _ = mc._chain_lanes(P, 6, cfg.seed, np.arange(20), np.nextafter(t, np.inf))
+        assert lanes.tolist() == [path.state_at(t) for path in paths]
+    # passage times: the first visit of 0 on each path
+    _, hit = mc._chain_lanes(P, 6, cfg.seed, np.arange(20), cfg.horizon, absorb=True)
+    for path, h in zip(paths, hit):
+        zero = np.flatnonzero(path.states == 0)
+        assert (np.isnan(h) and zero.size == 0) or h == path.times[zero[0]]
 
 
 def test_merged_vs_clock_simulators_same_law():
@@ -101,10 +132,7 @@ def test_merged_vs_clock_simulators_same_law():
     counts = np.zeros((2, 2 * P.N + 1), dtype=np.int64)
     cfg_a = mc.SimConfig(seed=501, n_paths=n, horizon=1.5)
     cfg_b = mc.SimConfig(seed=502, n_paths=n, horizon=1.5)
-    table = mc._rate_table(P)
-    for i in range(n):
-        rng = mc.path_rng(cfg_a.seed, i)
-        counts[0, mc._chain_state_at(table, P.N, 6, t, rng) + P.N] += 1
+    counts[0] = np.rint(mc.estimate_chain_law(P, 6, t, cfg_a).law.values * n)
     for i in range(n):
         path = mc.simulate_chain_path_clock(P, 6, cfg_b, i)
         counts[1, path.state_at(t) + P.N] += 1
@@ -127,21 +155,72 @@ def test_merged_vs_clock_simulators_same_law():
     assert p_value > 0.001
 
 
-def test_ou_path_determinism_and_block_replay():
+def test_ou_path_determinism_and_endpoint_law():
     cfg = mc.SimConfig(seed=5, n_paths=1, horizon=2.0, fpt_grid_dt=0.004)
     a = mc.simulate_ou_path(D, 0.03, cfg, 2)
     b = mc.simulate_ou_path(D, 0.03, cfg, 2)
     assert np.array_equal(a.values, b.values)
-    # chunked endpoint engine replays the same per-path stream
-    ends = mc.sample_ou_endpoints(D, 0.03, 2.0, mc.SimConfig(seed=5, n_paths=4, fpt_grid_dt=0.004))
-    assert ends[2] == a.values[-1]
+    # the grid walk with resets and the exact endpoint sampler draw X(2)
+    # from one law: two-sample Kolmogorov-Smirnov at the 1% critical value
+    walk = np.array([mc.simulate_ou_path(D, 0.03, cfg, i).values[-1] for i in range(1000)])
+    exact = mc.sample_ou_endpoints(D, 0.03, 2.0, mc.SimConfig(seed=6, n_paths=10000))
+    res = stats.ks_2samp(walk, exact)
+    assert res.statistic < 1.63 * math.sqrt((walk.size + exact.size) / (walk.size * exact.size))
 
 
-def test_sample_ou_endpoints_chunk_invariance():
-    cfg = mc.SimConfig(seed=6, n_paths=500, fpt_grid_dt=0.02)
-    a = mc.sample_ou_endpoints(D, 0.05, 1.0, cfg, chunk=64)
-    b = mc.sample_ou_endpoints(D, 0.05, 1.0, cfg, chunk=500)
-    assert np.array_equal(a, b)
+def test_lane_outputs_prefix_invariant():
+    # each lane is a function of (seed, lane) alone: the first lanes of a
+    # larger run (which spans two lockstep chunks) are the same values
+    seed = 2**63 + 12345
+    small, large = mc.SimConfig(seed=seed, n_paths=300), mc.SimConfig(seed=seed, n_paths=17000)
+    for until, absorb in ((1.0, False), (mc.default_horizon(P), True)):
+        for a, b in zip(mc._chain_lanes(P, 3, seed, np.arange(300), until, absorb),
+                        mc._chain_lanes(P, 3, seed, np.arange(17000), until, absorb)):
+            assert np.array_equal(a, b[:300], equal_nan=True)
+    assert np.array_equal(mc.sample_ou_endpoints(D, 0.05, 1.0, small),
+                          mc.sample_ou_endpoints(D, 0.05, 1.0, large)[:300])
+    dt = 4.0 * mc.default_fpt_grid_dt(D)
+    a = mc._ou_fpt_times(D, 0.03, dt, 25.0, small)
+    b = mc._ou_fpt_times(D, 0.03, dt, 25.0, dataclasses.replace(large, n_paths=4500))
+    assert np.array_equal(a, b[:300], equal_nan=True)
+    # and the estimators are the summaries of those lanes
+    law = mc.estimate_chain_law(P, 3, 1.0, small).law.values
+    states, _ = mc._chain_lanes(P, 3, seed, np.arange(300), np.nextafter(1.0, np.inf))
+    assert np.array_equal(law, np.bincount(states + P.N, minlength=2 * P.N + 1) / 300)
+
+
+def test_ou_fpt_lanes_match_grid_walk():
+    # xi = 0: the lockstep passage kernel (cumsum over windows of w steps)
+    # stops at the first step of the step-by-step walk where the summed
+    # bridge hazard reaches the lane's Exp(1) bridge clock; a sign change
+    # has infinite hazard.  dt = 0.3 gives 2-step windows, 0.004 windows
+    # of 208 steps.
+    d = ou.DiffusionParams(alpha=1.2, beta=0.0, nu=0.001, xi=0.0)
+    for dt, horizon in ((0.3, 30.0), (0.004, 4.0)):
+        cfg = mc.SimConfig(seed=8, n_paths=40, horizon=horizon, fpt_grid_dt=dt)
+        times = mc._ou_fpt_times(d, 0.03, dt, horizon, cfg)
+        ea = math.exp(-d.alpha * dt)
+        var = 0.5 * d.nu * (1.0 - ea**2)
+        for i, t in enumerate(times):
+            x = mc.simulate_ou_path(d, 0.03, cfg, i).values
+            clock = -math.log1p(-mc._LaneStreams(cfg.seed).at(i, mc._BRIDGE_CLOCK).random())
+            prod = x[:-1] * x[1:]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                hazard = np.cumsum(np.where(prod > 0.0, -np.log1p(-np.exp(-2.0 * ea * prod / var)), np.inf))
+            crossed = np.flatnonzero(hazard >= clock)
+            if crossed.size == 0 or (crossed[0] + 1) * dt > horizon:
+                assert np.isnan(t)
+            else:
+                assert t == (crossed[0] + 1) * dt
+        assert np.isfinite(times).sum() > 20
+    # the bridge finds crossings that the sign test misses
+    cfg = mc.SimConfig(seed=8, n_paths=2000, horizon=4.0, fpt_grid_dt=0.3)
+    walks = [mc.simulate_ou_path(d, 0.03, cfg, i).values for i in range(2000)]
+    sign = [np.flatnonzero(w <= 0.0) for w in walks]
+    sign = np.array([s[0] * 0.3 if s.size and s[0] * 0.3 <= 4.0 else np.nan for s in sign])
+    times = mc._ou_fpt_times(d, 0.03, 0.3, 4.0, cfg)
+    assert np.all(np.isnan(sign) | (times <= sign))
+    assert np.sum(times < sign) > 100
 
 
 @pytest.mark.parametrize("dt", [0.01, 0.1, 1.0])
@@ -156,6 +235,12 @@ def test_ou_exact_update_no_moment_bias(dt):
     assert abs(mean.value - ref_mean) < 4.0 * mean.std_error
     ref_m2 = ref_var + ref_mean**2
     assert abs(m2.value - ref_m2) < 4.0 * m2.std_error
+    # the grid walk, which the endpoint sampler no longer uses
+    walk_cfg = mc.SimConfig(seed=2000 + int(dt * 100), n_paths=1, horizon=t, fpt_grid_dt=dt)
+    x = np.array([mc.simulate_ou_path(d, 0.06, walk_cfg, i).values[-1] for i in range(2000)])
+    se = x.std(ddof=1) / math.sqrt(x.size)
+    assert abs(x.mean() - ref_mean) < 4.0 * se
+    assert abs((x**2).mean() - ref_m2) < 4.0 * (x**2).std(ddof=1) / math.sqrt(x.size)
 
 
 def test_ou_moments_match_closed_forms_with_resets():
@@ -223,3 +308,44 @@ def test_fpt_censoring_reported_and_flagged():
 def test_estimate_fpt_rejects_zero_start():
     with pytest.raises(ValueError):
         mc.estimate_fpt(P, 0, mc.SimConfig(seed=1, n_paths=10))
+
+
+def test_ou_fpt_censored_past_horizon():
+    # n_steps = ceil(horizon / dt) overshoots: a crossing at grid time 1.2
+    # lies past the horizon 1.0 and is censored, not recorded
+    cfg = mc.SimConfig(seed=2, n_paths=4000, horizon=1.0, fpt_grid_dt=0.3)
+    est = mc.estimate_fpt(D, 0.03, cfg, half_step_check=False)
+    assert est.density.grid[-1] < cfg.horizon
+    times = mc._ou_fpt_times(D, 0.03, 0.3, 1.0, cfg)
+    assert np.nanmax(times) <= 1.0
+    assert est.n_censored == np.isnan(times).sum()
+
+
+def test_estimate_fpt_needs_two_uncensored_paths():
+    d0 = ou.DiffusionParams(alpha=1.2, beta=0.0, nu=0.001, xi=0.0)
+    for model, start in ((P, 3), (d0, 0.03)):
+        cfg = mc.SimConfig(seed=1, n_paths=50, horizon=1e-3)
+        with pytest.raises(ValueError, match="50 of 50 paths are censored"):
+            mc.estimate_fpt(model, start, cfg, half_step_check=False)
+    with pytest.raises(ValueError, match="at least 2 uncensored"):
+        mc.estimate_fpt(P, 1, mc.SimConfig(seed=1, n_paths=1, horizon=1e3))
+    with pytest.raises(ValueError, match="at least 2 paths"):
+        mc.estimate_ou_moments(D, 0.06, 1.0, mc.SimConfig(seed=1, n_paths=1))
+
+
+def test_chain_path_state_at_rejects_time_before_start():
+    path = mc.simulate_chain_path(P, 6, mc.SimConfig(seed=42, n_paths=1, horizon=20.0), 7)
+    assert path.state_at(0.0) == 6
+    with pytest.raises(ValueError):
+        path.state_at(-1.0)
+
+
+def test_estimate_chain_law_rejects_negative_time():
+    with pytest.raises(ValueError):
+        mc.estimate_chain_law(P, 6, -1.0, mc.SimConfig(seed=1, n_paths=10))
+
+
+def test_sample_ou_endpoints_rejects_nonfinite_start():
+    for y in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            mc.sample_ou_endpoints(D, y, 1.0, mc.SimConfig(seed=1, n_paths=10))
