@@ -1,28 +1,31 @@
 """Special functions for the chain and jump-diffusion closed forms.
 
-Everything here backs at least one closed-form law of the library: the
-beta function, terminating Gauss 2F1 and Appell F1 sums (a non-positive
-integer numerator parameter makes them finite polynomials, the only
-regime the closed forms ever need), the confluent Kummer functions of
-the first and second kind, the parabolic cylinder function D_p for
-non-positive order, and thin wrappers over libm's lgamma/erf.
+Everything here backs at least one closed-form law of the library:
+terminating Gauss 2F1 and Appell F1 sums (a non-positive integer
+numerator parameter makes them finite polynomials, the only regime the
+closed forms ever need), the confluent Kummer functions of the first and
+second kind, the parabolic cylinder function D_p for non-positive order
+with its order derivative, and a thin wrapper over libm's lgamma.
 
 Finite sums are accumulated with Kahan compensation because several of
 them alternate.  D_p switches between the Kummer-series formula (small
 and negative arguments) and a positive-integrand integral representation
-(large positive arguments); the switch point is guarded by a
+(large positive arguments), summed by a trapezoid rule on fixed nodes in
+log t, never by adaptive quadrature; the switch point is guarded by a
 branch-agreement invariant exercised in the test suite.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from scipy.integrate import quad
-from scipy.special import gammasgn, loggamma, rgamma
+import numpy as np
+from scipy.integrate import quad  # noqa: F401  unused; benchmark/trace_targets.py patches it
+from scipy.special import digamma, gammasgn, loggamma, rgamma
 
 
 class NonConvergenceError(RuntimeError):
@@ -70,23 +73,6 @@ def ln_gamma(x):
     if x <= 0.0:
         raise ValueError(f"ln_gamma requires x > 0, got {x}")
     return math.lgamma(x)
-
-
-def beta_fn(x, y):
-    """Beta function B(x, y) = Gamma(x)Gamma(y)/Gamma(x+y), in log space."""
-    if x <= 0.0 or y <= 0.0:
-        raise ValueError(f"beta_fn requires positive arguments, got ({x}, {y})")
-    return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
-
-
-def rising_factorial(a, n):
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
-    if n < 0 or n != int(n):
-        raise ValueError(f"rising_factorial requires a non-negative integer n, got {n}")
-    out = 1.0
-    for k in range(int(n)):
-        out *= a + k
-    return out
 
 
 def _as_nonpositive_int(b, name):
@@ -214,32 +200,29 @@ def _phi_series(a, c, x, ctl):
 
 
 #: beyond this argument the two-Phi combination for Psi cancels too hard
-#: (about x / ln(10) digits lost) and the integral representation takes over
+#: (about x / ln(10) digits lost), so kummer_psi refuses it
 PSI_X_SWITCH = 10.0
 
 
 def kummer_psi(a, b, x, ctl=DEFAULT_SERIES):
-    """Kummer function of the second kind Psi(a, b; x) for x > 0, b not integer.
+    """Kummer function of the second kind Psi(a, b; x) for 0 < x <= PSI_X_SWITCH.
 
-    For x <= PSI_X_SWITCH uses the two-Phi combination
+    Uses the two-Phi combination
 
         Psi(a,b;x) = Gamma(1-b)/Gamma(a-b+1) Phi(a,b;x)
-                   + Gamma(b-1)/Gamma(a) x^{1-b} Phi(a-b+1, 2-b; x);
+                   + Gamma(b-1)/Gamma(a) x^{1-b} Phi(a-b+1, 2-b; x).
 
-    beyond that the two terms cancel to about x/ln(10) digits, so the
-    positive-integrand representation
-    (1/Gamma(a)) int_0^inf e^{-xt} t^{a-1} (1+t)^{b-a-1} dt (a > 0) is
-    integrated instead.  The logarithmic (integer b) case never occurs in
-    this library and is not implemented.
+    Beyond PSI_X_SWITCH the two terms cancel to about x/ln(10) digits, so
+    it raises ValueError there (kummer_psi_a1 covers Psi(1, 1/2 - k; x) at
+    any x).  The logarithmic (integer b) case never occurs in this library
+    and is not implemented.
     """
     if x <= 0.0:
         raise ValueError(f"kummer_psi requires x > 0, got {x}")
     if abs(b - round(b)) < 1e-12:
         raise ValueError(f"kummer_psi is not implemented for integer b, got {b}")
     if x > PSI_X_SWITCH:
-        if not a > 0.0:
-            raise ValueError(f"the large-x branch of kummer_psi needs a > 0, got a={a}")
-        return _psi_integral(a, b, x)
+        raise ValueError(f"kummer_psi needs x <= PSI_X_SWITCH = {PSI_X_SWITCH}, got {x}")
     # both coefficients in log space with explicit signs, the gammas can be huge
     s1 = gammasgn(1.0 - b) * gammasgn(a - b + 1.0)
     l1 = math.lgamma(1.0 - b) - math.lgamma(a - b + 1.0)
@@ -248,27 +231,6 @@ def kummer_psi(a, b, x, ctl=DEFAULT_SERIES):
     t1 = s1 * math.exp(l1) * kummer_phi(a, b, x, ctl)
     t2 = s2 * math.exp(l2) * kummer_phi(a - b + 1.0, 2.0 - b, x, ctl)
     return t1 + t2
-
-
-def _psi_integral(a, b, x):
-    if a == 1.0 and abs((0.5 - b) - round(0.5 - b)) < 1e-12 and round(0.5 - b) >= 0:
-        return kummer_psi_a1(round(0.5 - b), x)
-
-    def tail(t):
-        return t ** (a - 1.0) * math.exp(-x * t) * (1.0 + t) ** (b - a - 1.0)
-
-    if a < 1.0:
-        # remove the t^{a-1} endpoint singularity on [0,1] via v = t^a
-        def head(v):
-            t = v ** (1.0 / a)
-            return math.exp(-x * t) * (1.0 + t) ** (b - a - 1.0)
-
-        i1, _ = quad(head, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200)
-        i1 /= a
-    else:
-        i1, _ = quad(tail, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200)
-    i2, _ = quad(tail, 1.0, math.inf, epsabs=1e-14, epsrel=1e-12, limit=200)
-    return rgamma(a) * (i1 + i2)
 
 
 #: below this argument the incomplete-gamma continued fraction for the
@@ -299,10 +261,7 @@ def kummer_psi_a1(b_offset, x):
     if k < 0:
         raise ValueError(f"kummer_psi_a1 requires k >= 0, got {b_offset}")
     if x <= PSI_A1_CF_SWITCH:
-        u = kummer_psi(1.0, 0.5, x)
-        for i in range(k):
-            u = (1.0 - x * u) / (i + 1.5)
-        return u
+        return next(itertools.islice(psi_a1_stream(x), k, None))
     return _psi_a1_cf(k, x)
 
 
@@ -347,28 +306,51 @@ def psi_a1_stream(x):
             k += 1
 
 
+def _check_dp_args(p, z):
+    if p > 0.0:
+        raise ValueError(f"parabolic_cylinder_D requires p <= 0, got p={p}")
+    if z < 0.0 and z * z / 2.0 > 700.0:
+        raise ValueError(f"D_p overflows double precision for z={z}; need z > -37.4")
+
+
 def parabolic_cylinder_D(p, z):
     """Parabolic cylinder function D_p(z) for p <= 0.
 
-    |z| <= DP_Z_SWITCH (and every z < 0) uses the Kummer-series formula
+    z <= DP_Z_SWITCH (every z < 0 included) uses the Kummer-series formula
 
         D_p(z) = 2^{p/2} e^{-z^2/4} [ sqrt(pi)/Gamma((1-p)/2) Phi(-p/2, 1/2; z^2/2)
                  - sqrt(2 pi) z / Gamma(-p/2) Phi((1-p)/2, 3/2; z^2/2) ],
 
     which is cancellation-free for z <= 0.  For z > DP_Z_SWITCH the two
     series terms nearly cancel, so the positive-integrand representation
+    (q = -p > 0)
 
-        D_p(z) = e^{-z^2/4} / Gamma(-p) * int_0^inf t^{-p-1} e^{-t^2/2 - z t} dt
+        D_p(z) = e^{-z^2/4} / Gamma(q) * int_0^inf t^{q-1} e^{-t^2/2 - z t} dt
 
-    (valid for p < 0) is integrated adaptively instead.
+    is summed instead by the fixed-node rule of _dp_rule, within 1e-13
+    relative of mpmath.pcfd over q in [1e-3, 100] and z in (1, 37].
     """
-    if p > 0.0:
-        raise ValueError(f"parabolic_cylinder_D requires p <= 0, got p={p}")
-    if z < 0.0 and z * z / 2.0 > 700.0:
-        raise ValueError(f"D_p overflows double precision for z={z}; need z > -37.4")
+    _check_dp_args(p, z)
     if z <= DP_Z_SWITCH:
         return _dp_series(p, z)
     return _dp_integral(p, z)
+
+
+def parabolic_cylinder_D_ratio(p, z1, z2):
+    """(R, d/dp log R) for R = e^{(z1^2 - z2^2)/4} D_p(z1) / D_p(z2), p < 0.
+
+    Both factors come from _dp_rule at any z > -37.4 (it beats the series
+    below DP_Z_SWITCH too), with 1/Gamma(-p) and the Gaussians cancelled.
+    Within 1e-13 (R) and 1e-12 (d/dp log R, absolute below 1) of mpmath for
+    q = -p in [1e-3, 100], z1 in (1, 37] or {-5, -1, 0}, z2 in {0, -1}.
+    """
+    for z in (z1, z2):
+        _check_dp_args(p, z)
+    if p == 0.0:
+        raise ValueError("parabolic_cylinder_D_ratio requires p < 0")
+    m1, s1, dlog1 = _dp_rule(-p, z1)
+    m2, s2, dlog2 = _dp_rule(-p, z2)
+    return math.exp(m1 - m2) * s1 / s2, dlog2 - dlog1
 
 
 def _dp_series(p, z):
@@ -380,24 +362,50 @@ def _dp_series(p, z):
 
 
 def _dp_integral(p, z):
-    """Integral-representation branch of D_p, for p < 0 and large positive z."""
+    """Integral-representation branch of D_p, for p <= 0 and large positive z."""
     if p == 0.0:
         return math.exp(-z * z / 4.0)
-    q = -p  # q > 0
+    q = -p
+    m, s, _ = _dp_rule(q, z)
+    if q < 170.0 and m < 700.0:
+        # rgamma and e^m apart keep lgamma(q)'s rounding out of the exponent
+        return s * rgamma(q) * math.exp(m) * math.exp(-z * z / 4.0)
+    return s * math.exp(m - z * z / 4.0 - math.lgamma(q))
 
-    # [0, 1]: substitute v = t^q so the endpoint singularity t^{q-1} integrates exactly
-    def inner(v):
-        t = v ** (1.0 / q)
-        return math.exp(-t * t / 2.0 - z * t)
 
-    i1, _ = quad(inner, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200)
-    i1 /= q
+def _dp_rule(q, z):
+    """Trapezoid rule in u = log t for I = int t^{q-1} e^{-t^2/2 - zt} dt, q > 0.
 
-    def outer(t):
-        return t ** (q - 1.0) * math.exp(-t * t / 2.0 - z * t)
-
-    i2, _ = quad(outer, 1.0, math.inf, epsabs=1e-14, epsrel=1e-12, limit=200)
-    return math.exp(-z * z / 4.0) * rgamma(q) * (i1 + i2)
+    e^{phi(u)}, phi = qu - t^2/2 - zt, is analytic and decays double-
+    exponentially as u -> inf, so the rule converges exponentially in 1/h
+    (Trefethen & Weideman, SIAM Rev. 56, 2014; Gil, Segura & Temme, ACM
+    TOMS 32, Algorithm 850).  Nodes u0 + jh, u0 = log(0.05/(|z|+1)): j >= 0
+    runs to t* + 9 past the peak t* (phi'' <= -1 in t, so phi is 40 below
+    it); j < 0 is summed exactly, e^{-zt - t^2/2} = sum c_n t^n with
+    (n+1) c_{n+1} = -z c_n - c_{n-1} (terms fall like 0.05^n) and each
+    power a geometric series.  Returns (m, s, dlog): I = e^m s and
+    dlog = d/dq log D_{-q}(z) = int (u + 1/q) e^phi du / I - psi(q + 1),
+    i.e. int u e^phi du / I - psi(q) with the two 1/q poles cancelled.
+    """
+    h = min(0.1, 0.3 / math.sqrt(q + max(-z, 0.0) ** 2))
+    u0 = math.log(0.05 / (abs(z) + 1.0))
+    t_peak = 0.5 * (math.sqrt(z * z + 4.0 * q) - z)
+    u = u0 + h * np.arange(math.ceil((math.log(t_peak + 9.0) - u0) / h) + 1)
+    t = np.exp(u)
+    phi = q * u - t * (0.5 * t + z)
+    m = phi.max()
+    w = np.exp(phi - m)
+    s = float(w.sum())
+    su = float((u + 1.0 / q) @ w)
+    # b = c_n e^{(q+n)u0 - m} is under 1e-20 b_0 by n = 16; r = e^{-(q+n)h} in the tail sums
+    t0 = math.exp(u0)
+    b, b_prev = math.exp(q * u0 - m), 0.0
+    for n in range(16):
+        e = math.expm1((q + n) * h)
+        s += b / e
+        su += b / e * (u0 + 1.0 / q - h * (e + 1.0) / e)
+        b, b_prev = (-z * t0 * b - t0 * t0 * b_prev) / (n + 1), b
+    return float(m), h * s, su / s - float(digamma(q + 1.0))
 
 
 #: admissible |z| for the complex-order evaluation.  The series loses about
@@ -450,8 +458,3 @@ def parabolic_cylinder_D_complex_log(p, z):
         # Talbot agreement check will flag any resulting damage.
         return base + lead + complex(-745.0, 0.0)
     return base + lead + cmath.log(bracket)
-
-
-def erf(x):
-    """Error function, |error| <= 1e-12 (libm)."""
-    return math.erf(x)

@@ -306,6 +306,30 @@ def test_m2_fpt_matches_density_quadrature():
     assert ou.m2_fpt_cat(D_SYM, 0.03) == pytest.approx(m2q, abs=1e-6)
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.004, -0.01])
+def test_fpt_moments_vs_mpmath(beta):
+    # E[T^2] = (2/xi^2)(1 - g + xi g') with g the free transform at s = xi,
+    # in 30 digits with g' by mpmath.diff; at xi = 0.05 the bracket
+    # cancels to 1e-3 of its terms
+    mpmath = pytest.importorskip("mpmath")
+    alpha, nu, y = 1.2, 0.001, 0.03
+    with mpmath.workdps(30):
+        sq = mpmath.sqrt(2 / mpmath.mpf(nu))
+
+        def g(s):
+            p = -s / alpha
+            return (mpmath.exp(y * (y - 2 * mpmath.mpf(beta)) / (2 * mpmath.mpf(nu)))
+                    * mpmath.pcfd(p, (y - mpmath.mpf(beta)) * sq) / mpmath.pcfd(p, -beta * sq))
+
+        for xi in (0.05, 0.5, 5.0):
+            d = ou.DiffusionParams(alpha=alpha, beta=beta, nu=nu, xi=xi)
+            gx = g(mpmath.mpf(xi))
+            m1 = (1 - gx) / xi
+            m2 = 2 / mpmath.mpf(xi) ** 2 * (1 - gx + xi * mpmath.diff(g, mpmath.mpf(xi)))
+            assert ou.m2_fpt_cat(d, y) == pytest.approx(float(m2), rel=1e-12, abs=0), xi
+            assert ou.var_fpt_cat(d, y) == pytest.approx(float(m2 - m1 * m1), rel=1e-12, abs=0), xi
+
+
 def test_mean_fpt_decreasing_in_xi():
     means = [
         ou.mean_fpt_cat(ou.DiffusionParams(alpha=1.2, beta=0.0, nu=0.001, xi=float(xi)), 0.03)

@@ -1,21 +1,22 @@
 """Special-function checks against independent oracles.
 
 Oracles: exact rational arithmetic (fractions) for the terminating sums,
-quadrature of integral representations, classical identities (erf,
-erfc), and frozen values computed from those oracles.
+mpmath at high precision, classical identities (erf, erfc), and frozen
+values computed from those oracles.
 """
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
+from ehrenfestcat import oujump as ou
 from ehrenfestcat import specfun as sf
 from ehrenfestcat.validate import _f1_bruteforce
+
+mpmath = pytest.importorskip("mpmath")
 
 
 def test_ln_gamma_trivial_points():
@@ -35,41 +36,6 @@ def test_ln_gamma_domain():
 def test_ln_gamma_recurrence():
     for x in np.linspace(0.1, 100.0, 211):
         assert abs(sf.ln_gamma(x + 1.0) - sf.ln_gamma(x) - math.log(x)) < 1e-12
-
-
-def test_beta_trivial():
-    assert sf.beta_fn(1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
-    assert sf.beta_fn(2.0, 3.0) == pytest.approx(1.0 / 12.0, rel=1e-14)
-
-
-def test_beta_against_quadrature():
-    # frozen oracle: int_0^1 t^20 (1-t)^(0.4167-1) dt by weighted quadrature
-    assert sf.beta_fn(21.0, 0.4167) == pytest.approx(0.6017186573800453, rel=1e-9)
-
-
-def test_beta_domain():
-    with pytest.raises(ValueError):
-        sf.beta_fn(-1.0, 2.0)
-    with pytest.raises(ValueError):
-        sf.beta_fn(1.0, 0.0)
-
-
-def test_rising_factorial_values():
-    assert sf.rising_factorial(3.7, 0) == 1.0
-    assert sf.rising_factorial(3.0, 2) == 12.0
-    # the vanishing factor is what terminates the hypergeometric sums
-    assert sf.rising_factorial(-2.0, 3) == 0.0
-
-
-@settings(deadline=None, max_examples=50)
-@given(
-    a=st.floats(-5.0, 5.0, allow_nan=False),
-    n=st.integers(0, 12),
-)
-def test_rising_factorial_recurrence(a, n):
-    assert sf.rising_factorial(a, n + 1) == pytest.approx(
-        sf.rising_factorial(a, n) * (a + n), rel=1e-12, abs=1e-12
-    )
 
 
 def test_gauss_2f1_trivial():
@@ -168,7 +134,7 @@ def test_kummer_phi_trivial_and_exponential():
 def test_kummer_phi_erf_identity():
     for z in (0.25, 0.8, 1.7):
         lhs = sf.kummer_phi(0.5, 1.5, -z * z)
-        rhs = math.sqrt(math.pi) / (2.0 * z) * sf.erf(z)
+        rhs = math.sqrt(math.pi) / (2.0 * z) * math.erf(z)
         assert lhs == pytest.approx(rhs, rel=1e-11)
 
 
@@ -184,9 +150,10 @@ def test_kummer_phi_rejects_nonpositive_integer_c():
 
 def test_kummer_psi_asymptotic():
     # Psi(1,b;x) ~ x^{-1}(1 - (2-b)/x + ...); the first correction at
-    # x = 100 is 1.5e-2, so the ratio test allows exactly that much
-    assert sf.kummer_psi(1.0, 0.5, 100.0) * 100.0 == pytest.approx(1.0, abs=1.6e-2)
-    assert sf.kummer_psi(1.0, 0.5, 200.0) * 200.0 == pytest.approx(1.0, abs=8e-3)
+    # x = 100 is 1.5e-2, so the ratio test allows exactly that much.
+    # Psi(1, 1/2; x) at large x is the continued fraction of kummer_psi_a1
+    assert sf.kummer_psi_a1(0, 100.0) * 100.0 == pytest.approx(1.0, abs=1.6e-2)
+    assert sf.kummer_psi_a1(0, 200.0) * 200.0 == pytest.approx(1.0, abs=8e-3)
 
 
 def test_kummer_psi_integral_representation():
@@ -203,6 +170,14 @@ def test_kummer_psi_domain():
         sf.kummer_psi(1.0, 0.5, -1.0)
     with pytest.raises(ValueError):
         sf.kummer_psi(1.0, -1.0, 2.0)  # integer b (logarithmic case) unsupported
+
+
+def test_kummer_psi_refuses_large_argument():
+    # the two-Phi combination cancels to about x/ln(10) digits there
+    assert sf.kummer_psi(1.0, 0.5, sf.PSI_X_SWITCH) > 0.0
+    for x in (math.nextafter(sf.PSI_X_SWITCH, math.inf), 100.0):
+        with pytest.raises(ValueError, match="PSI_X_SWITCH"):
+            sf.kummer_psi(1.0, 0.5, x)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 7, 30, 170, 900])
@@ -272,16 +247,54 @@ def test_parabolic_cylinder_complex_matches_real():
             assert c.real == pytest.approx(sf.parabolic_cylinder_D(p, z), rel=1e-11)
 
 
-def test_erf_values():
-    assert sf.erf(0.0) == 0.0
-    # frozen quadrature oracle for (2/sqrt(pi)) int_0^1 e^{-t^2} dt
-    assert sf.erf(1.0) == pytest.approx(0.8427007929497149, rel=1e-12)
+#: the (q, z) box of the fixed-node rule's tests, q = -p
+RULE_Q = np.geomspace(1e-3, 100.0, 11)
+RULE_Z = (math.nextafter(sf.DP_Z_SWITCH, math.inf), 1.34, 2.2, 3.7, 6.0, 9.5, 14.0, 20.0,
+          27.0, 33.3, 37.0)
 
 
-@settings(deadline=None, max_examples=50)
-@given(x=st.floats(-6.0, 6.0, allow_nan=False))
-def test_erf_odd(x):
-    assert sf.erf(-x) == -sf.erf(x)
+def test_parabolic_cylinder_rule_vs_mpmath():
+    # z > DP_Z_SWITCH takes the fixed-node rule; the box reaches D = 1.1e-307
+    with mpmath.workdps(30):
+        for q in RULE_Q:
+            for z in RULE_Z:
+                ref = float(mpmath.pcfd(-q, z))
+                assert sf.parabolic_cylinder_D(-q, z) == pytest.approx(ref, rel=1e-13, abs=0), (q, z)
+
+
+def test_parabolic_cylinder_ratio_and_order_derivative_vs_mpmath():
+    # R = e^{(z1^2 - z2^2)/4} D_p(z1)/D_p(z2) and d/dp log R, all from the
+    # fixed-node rule; d/dp log D_p(0) crosses 0 near p = -0.86, hence
+    # the absolute floor
+    with mpmath.workdps(30):
+        for q in RULE_Q:
+            dlog = {}
+            for z in RULE_Z[::2] + (-5.0, -1.0, 0.0):
+                dlog[z] = mpmath.diff(lambda p: mpmath.log(mpmath.pcfd(p, z)), -q)
+            for z1 in dlog:
+                for z2 in (0.0, -1.0):
+                    ratio, dlog_ratio = sf.parabolic_cylinder_D_ratio(-q, z1, z2)
+                    ref = mpmath.exp((z1 * z1 - z2 * z2) / 4) * mpmath.pcfd(-q, z1) / mpmath.pcfd(-q, z2)
+                    assert ratio == pytest.approx(float(ref), rel=1e-13, abs=0), (q, z1, z2)
+                    assert dlog_ratio == pytest.approx(float(dlog[z1] - dlog[z2]), rel=1e-12,
+                                                       abs=1e-12), (q, z1, z2)
+
+
+def test_parabolic_cylinder_ratio_domain():
+    with pytest.raises(ValueError):
+        sf.parabolic_cylinder_D_ratio(0.0, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        sf.parabolic_cylinder_D_ratio(-1.0, 1.0, -38.0)
+
+
+@pytest.mark.parametrize("y, s", [(37.0, 10.0), (37.0, 50.0), (5.0, 100.0)])
+def test_fpt_laplace_free_far_start_vs_mpmath(y, s):
+    # alpha = 1, beta = 0, nu = 2, so the cylinder arguments are y and 0
+    # and the orders reach -100, where t^{q-1} alone overflows at t = 1e4
+    d = ou.DiffusionParams(alpha=1.0, beta=0.0, nu=2.0)
+    with mpmath.workdps(30):
+        ref = float(mpmath.exp(y * y / 4) * mpmath.pcfd(-s, y) / mpmath.pcfd(-s, 0))
+    assert ou.fpt_laplace_free(d, y, s) == pytest.approx(ref, rel=1e-13, abs=0)
 
 
 def test_series_control_validation():
