@@ -388,10 +388,54 @@ def test_talbot_general_beta_density_integrates_to_one():
 
 
 def test_talbot_flags_precision_exhaustion():
-    # node counts past the double-precision sweet spot amplify roundoff;
-    # the agreement check must refuse them instead of returning garbage
+    # node counts past the double-precision sweet spot amplify roundoff
+    # (the weights grow like e^{2M/5}: 72 nodes are 2.8e-5 off here, 80
+    # disagree with 70 by 1.6e-3); the agreement check must refuse them
+    # instead of returning garbage
     with pytest.raises(NonConvergenceError):
-        ou.talbot_invert(lambda s: ou.fpt_laplace_cat(D_SYM, 0.03, s), 0.3, n_nodes=48)
+        ou.talbot_invert(lambda s: ou.fpt_laplace_cat(D_SYM, 0.03, s), 0.3, n_nodes=96)
+
+
+def test_talbot_small_times_vs_closed_form():
+    # the eight smallest times of the diffusion-fpt grid, whose contours
+    # reach the largest orders of the complex-order D_p
+    for t in np.linspace(0.0, 10.0 / 1.7, 400)[1:9]:
+        got = ou.talbot_invert(lambda s: ou.fpt_laplace_cat(D_SYM, 0.03, s), float(t))
+        assert got == pytest.approx(ou.fpt_density_cat_sym(D_SYM, 0.03, float(t)), rel=1e-8)
+
+
+def test_talbot_calls_transform_once_on_all_nodes():
+    seen = []
+
+    def transform(s):
+        seen.append(s)
+        return 1.0 / (s + 1.0)
+
+    for n_nodes, m_check in ((16, 14), (24, 21), (12, 10)):
+        seen.clear()
+        got = ou.talbot_invert(transform, 0.7, n_nodes=n_nodes)
+        assert len(seen) == 1
+        assert seen[0].shape == (n_nodes + m_check,) and seen[0].dtype == complex
+        assert abs(got - math.exp(-0.7)) < 1e-8
+    with pytest.raises(ValueError, match="shape"):
+        ou.talbot_invert(lambda s: 1.0, 1.0)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.004])
+def test_laplace_forms_take_complex_scalars_and_node_arrays(beta):
+    d = ou.DiffusionParams(alpha=1.2, beta=beta, nu=0.001, xi=0.5)
+    s = np.array([3.0 + 0.0j, 2.0 + 5.0j, -4.0 + 9.0j, -30.0 + 40.0j])
+    forms = [lambda s: ou.f_free_laplace(d, 0.01, 0.03, s),
+             lambda s: ou.fpt_laplace_free(d, 0.03, s)]
+    if beta == 0.0:
+        forms.append(lambda s: ou.fpt_laplace_free_sym(d, 0.03, s))
+    for form in forms:
+        many = form(s)
+        assert many.shape == s.shape
+        for k, sk in enumerate(s):
+            one = form(complex(sk))
+            assert isinstance(one, complex) and np.ndim(one) == 0
+            assert one == many[k]
 
 
 def test_talbot_rejects_bad_input():

@@ -242,7 +242,7 @@ def test_parabolic_cylinder_domain():
 def test_parabolic_cylinder_complex_matches_real():
     for p in (-0.4, -2.0):
         for z in (-0.9, 0.0, 0.8):
-            c = sf.parabolic_cylinder_D_complex(complex(p, 0.0), z)
+            c = np.exp(sf.parabolic_cylinder_D_complex_log(complex(p, 0.0), z))
             assert abs(c.imag) < 1e-12
             assert c.real == pytest.approx(sf.parabolic_cylinder_D(p, z), rel=1e-11)
 
@@ -260,6 +260,36 @@ def test_parabolic_cylinder_rule_vs_mpmath():
             for z in RULE_Z:
                 ref = float(mpmath.pcfd(-q, z))
                 assert sf.parabolic_cylinder_D(-q, z) == pytest.approx(ref, rel=1e-13, abs=0), (q, z)
+
+
+@pytest.mark.parametrize("q", [0.42, 4.17, 20.0, 100.0])
+def test_parabolic_cylinder_small_positive_z_vs_mpmath(q):
+    # the Kummer series cancels for z > 0 (7.9e-6 relative off at q = 100,
+    # z = 1), so every z > DP_Z_SWITCH = 0 takes the fixed-node rule
+    with mpmath.workdps(30):
+        for z in (0.447, 0.8, 1.0):
+            ref = float(mpmath.pcfd(-q, z))
+            assert sf.parabolic_cylinder_D(-q, z) == pytest.approx(ref, rel=1e-14, abs=0), z
+
+
+@pytest.mark.parametrize("t", [0.0295, 0.5, 2.0])
+def test_parabolic_cylinder_complex_array_vs_mpmath(t):
+    # the orders of the passage transform on the Talbot contour of time t
+    # (alpha = 1.2, xi = 0.5), at the cylinder arguments of y = 0.03,
+    # nu = 0.001 and five beta: z_num in [0.89, 1.79], z_den in [-0.45, 0.45];
+    # t = 0.0295 has |p| from 159 to 2729, where D_p overflows doubles
+    s = np.concatenate([ou._talbot_rule(16)[0], ou._talbot_rule(14)[0]]) / t
+    p = -(s + 0.5) / 1.2
+    sq = math.sqrt(2.0 / 0.001)
+    for beta in (0.0, 0.004, -0.004, 0.01, -0.01):
+        for z in ((0.03 - beta) * sq, -beta * sq):
+            got = sf.parabolic_cylinder_D_complex_log(p, z)
+            assert got.shape == p.shape
+            with mpmath.workdps(30):
+                ref = np.array([complex(mpmath.log(mpmath.pcfd(complex(pk), z))) for pk in p])
+            # relative error of D_p, in logs because D_p overflows at small t
+            # (the logs may differ by 2 pi i k); measured at most 3.3e-10
+            assert np.max(np.abs(np.expm1(got - ref))) < 1e-9, (beta, z)
 
 
 def test_parabolic_cylinder_ratio_and_order_derivative_vs_mpmath():
