@@ -41,7 +41,6 @@ __all__ = [
     "q_free_var",
     "mean_free",
     "var_free",
-    "q_cat",
     "q_cat_row",
     "q_cat_quadrature_row",
     "stationary_row",
@@ -54,7 +53,6 @@ __all__ = [
     "var_cat",
     "mean_cat_limit",
     "m2_cat_limit",
-    "fpt_density_free_sym",
     "fpt_density_cat",
     "fpt_density_cat_curve",
     "fpt_moments_linear",
@@ -369,13 +367,8 @@ def q_cat_row(p: ChainParams) -> ProbVector:
     generator_matrix it agrees to 6e-15 absolute or better for N <= 160.
     """
     if not p.xi > 0.0:
-        raise ValueError("q_cat requires xi > 0; use q_free_row for the free process")
+        raise ValueError("the stationary law with catastrophes requires xi > 0; use q_free_row for xi = 0")
     return ProbVector(p.N, _renewal_tail(p, np.zeros(1))[0])
-
-
-def q_cat(p: ChainParams, n) -> float:
-    n = p.check_state(n, "n")
-    return q_cat_row(p).prob(n)
 
 
 def q_cat_quadrature_row(p: ChainParams, tol=1e-11) -> ProbVector:
@@ -386,7 +379,7 @@ def q_cat_quadrature_row(p: ChainParams, tol=1e-11) -> ProbVector:
     absorbs the weight exactly, leaving int_0^1 p_free(0, ., -ln(u)/xi) du.
     """
     if not p.xi > 0.0:
-        raise ValueError("q_cat requires xi > 0; use q_free_row for the free process")
+        raise ValueError("the stationary law with catastrophes requires xi > 0; use q_free_row for xi = 0")
 
     def integrand(u):
         tau = -math.log(u) / p.xi if u > 0.0 else math.inf
@@ -443,7 +436,7 @@ def _f_over_c_log_table(p: ChainParams, times) -> np.ndarray:
     remains: B(c/d, m+1)/d.  Every entry is at least that Beta value, so
     the entries with m + s <= 2N, the ones _renewal_tail uses, are normal
     floats up to N of about 500.  validate checks the table against
-    gauss_2f1_terminating (m <= 20, z up to 0.73) and the Beta value to
+    quad of the integrand (m <= 20, z up to 0.73) and the Beta value to
     1e-11 in the log.
     """
     N, xi, d = p.N, p.xi, p.lam + p.mu
@@ -692,16 +685,6 @@ def _free_passage_sym(p: ChainParams, j, times) -> tuple[np.ndarray, np.ndarray]
     above, below = v[:, N + 1:], v[:, N - 1::-1]    # states n and -n, n = 1..N
     ahead, behind = (above, below) if j > 0 else (below, above)
     return p.mu * (N + 1) * (ahead[:, 0] - behind[:, 0]), (ahead - behind).sum(axis=1)
-
-
-def fpt_density_free_sym(p: ChainParams, j, t) -> float:
-    """First-passage density through 0 for the free chain, lam == mu only.
-
-    mu (N+1) sgn(j) [p_free(j,1,t) - p_free(j,-1,t)].  For |j| = 1 the
-    value at t = 0 is mu (N+1) rather than 0; see the module tests for
-    the short-time behaviour.
-    """
-    return float(_free_passage_sym(p, j, [t])[0][0])
 
 
 def fpt_density_cat(p: ChainParams, j, t) -> float:

@@ -26,6 +26,7 @@ from .specfun import (
     NonConvergenceError,
     parabolic_cylinder_D,
     parabolic_cylinder_D_complex_log,
+    parabolic_cylinder_D_log,
     parabolic_cylinder_D_ratio,
     psi_a1_stream,
 )
@@ -158,9 +159,10 @@ def f_free_laplace(d: DiffusionParams, x, y, s):
     """Laplace transform (in t) of the free transition density.
 
     Product of two gamma factors, a Gaussian-quotient exponential, and
-    two parabolic cylinder functions with min/max argument ordering,
-    evaluated in log space to dodge gamma overflow.  s is real and
-    positive, or complex: a scalar or an array of contour nodes.
+    two parabolic cylinder functions with min/max argument ordering, all
+    in logs, so that neither the gammas overflow nor a far cylinder
+    factor underflows.  s is real and positive, or complex: a scalar or
+    an array of contour nodes.
     """
     alpha, beta, nu = d.alpha, d.beta, d.nu
     sq = math.sqrt(2.0 / nu)
@@ -180,7 +182,7 @@ def f_free_laplace(d: DiffusionParams, x, y, s):
     if cplx:
         return np.exp(lval + parabolic_cylinder_D_complex_log(p, z1)
                       + parabolic_cylinder_D_complex_log(p, z2))
-    return math.exp(lval + math.log(parabolic_cylinder_D(p, z1)) + math.log(parabolic_cylinder_D(p, z2)))
+    return math.exp(lval + parabolic_cylinder_D_log(p, z1) + parabolic_cylinder_D_log(p, z2))
 
 
 # ----------------------------------------------------------------------
@@ -190,26 +192,12 @@ def f_free_laplace(d: DiffusionParams, x, y, s):
 def W_cat(d: DiffusionParams, x) -> float:
     """Steady-state density with resets, xi * f_free_laplace(x | 0) at s = xi.
 
-    The sgn(x) in the cylinder arguments gives matching one-sided limits
-    at x = 0; the x -> 0+ branch is used there.
+    The renewal relation at t -> inf.  Far in the tail the value
+    underflows to 0.0.
     """
     if not d.xi > 0.0:
         raise ValueError("W_cat requires xi > 0; use w_free for the free process")
-    alpha, beta, nu, xi = d.alpha, d.beta, d.nu, d.xi
-    sgn = 1.0 if x >= 0.0 else -1.0
-    sq = math.sqrt(2.0 / nu)
-    d1 = parabolic_cylinder_D(-xi / alpha, sgn * beta * sq)
-    d2 = parabolic_cylinder_D(-xi / alpha, sgn * (x - beta) * sq)
-    lpref = (
-        (xi / alpha) * math.log(2.0)
-        - math.log(math.pi * math.sqrt(nu))
-        + math.lgamma(1.0 + xi / (2.0 * alpha))
-        + math.lgamma(0.5 + xi / (2.0 * alpha))
-        - x * (x - 2.0 * beta) / (2.0 * nu)
-    )
-    if d1 <= 0.0 or d2 <= 0.0:
-        return 0.0  # deep-tail underflow of the cylinder factors
-    return math.exp(lpref + math.log(d1) + math.log(d2))
+    return d.xi * f_free_laplace(d, x, 0.0, d.xi)
 
 
 def f_cat(d: DiffusionParams, x, y, t, tol=1e-10) -> float:

@@ -1,33 +1,29 @@
 """Special functions for the chain and jump-diffusion closed forms.
 
-Everything here backs at least one closed-form law of the library:
-terminating Gauss 2F1 and Appell F1 sums (a non-positive integer
-numerator parameter makes them finite polynomials, the only regime the
-closed forms ever need), the confluent Kummer functions of the first and
-second kind, the parabolic cylinder function D_p for non-positive order
-with its order derivative, and a thin wrapper over libm's lgamma.
+The Kummer function Psi(1, 1/2 - k; x) of the reset-density series, and
+the parabolic cylinder function D_p for non-positive real order (with
+its log and its order derivative) and for complex order.  The
+terminating Appell F1 sum, the paper's form of the chain's stationary
+law, stays for its tests and for benchmark/trace_targets.py.
 
-Finite sums are accumulated with Kahan compensation because several of
-them alternate.  D_p takes the Kummer-series formula for z <= 0 and a
-positive-integrand integral representation for z > 0, summed by a
-trapezoid rule on fixed nodes in log t, never by adaptive quadrature;
-the switch is guarded by a branch-agreement invariant in the tests.  For
-contour inversion, log D_p takes an array of complex orders: the series
-of all of them as one matrix of terms where they do not cancel, a WKB
-expansion of D_p'/D_p where they do.
+Real-order D_p has one route at every z: its positive-integrand
+integral representation, summed by a trapezoid rule on fixed nodes in
+log t, never by adaptive quadrature.  For contour inversion, log D_p
+takes an array of complex orders: the Kummer series of all of them as
+one matrix of terms where they do not cancel, a WKB expansion of
+D_p'/D_p where they do.
 """
 
 from __future__ import annotations
 
 import collections
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad  # noqa: F401  unused; benchmark/trace_targets.py patches it
-from scipy.special import digamma, gammasgn, loggamma, rgamma
+from scipy.special import digamma, erfcx, loggamma, rgamma
 
 
 class NonConvergenceError(RuntimeError):
@@ -36,7 +32,7 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SeriesControl:
-    """Truncation control for the infinite series (Kummer Phi, density series)."""
+    """Truncation control for the infinite series (complex-order Kummer Phi, reset density)."""
 
     rel_tol: float = 1e-12
     max_terms: int = 10000
@@ -50,11 +46,8 @@ class SeriesControl:
 
 DEFAULT_SERIES = SeriesControl()
 
-#: switch point between the Kummer-series formula and the integral
-#: representation of D_p.  For z > 0 the two series terms cancel, worse
-#: for very negative orders (7.9e-6 relative off at p = -100, z = 1),
-#: while the fixed-node rule of the integral representation is within
-#: 3e-15 there; the series serves only z <= 0, where it cannot cancel.
+#: no branch reads this: every real z takes the fixed-node rule of
+#: _dp_rule.  benchmark/trace_targets.py counts the calls with z above it.
 DP_Z_SWITCH = 0.0
 
 
@@ -70,40 +63,11 @@ def _kahan(terms):
     return total
 
 
-def ln_gamma(x):
-    """log Gamma(x) for x > 0."""
-    if x <= 0.0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
 def _as_nonpositive_int(b, name):
     m = round(b)
     if abs(b - m) > 1e-9 or m > 0:
         raise ValueError(f"{name} must be a non-positive integer, got {b}")
     return int(m)
-
-
-def gauss_2f1_terminating(a, b, c, z):
-    """Gauss 2F1(a, b; c; z) for non-positive integer b.
-
-    The series terminates after 1 - b terms, so the result is a polynomial
-    in z, defined for every real z.  c may not be a non-positive integer
-    reached before termination (that would divide by zero).
-
-    It is Appell F1(a; b, 0; c; z, 0) and is summed by
-    appell_f1_terminating: in floating point while the rounding estimate
-    ``(1 - b) * eps * sum|t|`` stays within ``F1_REL_TARGET * |sum|``, and
-    in exact rational arithmetic otherwise.  So it is within about 1e-11
-    relative for every real z, also where the terms alternate and cancel
-    (at a = 1.5/0.8 + 19, b = -20, c = 1 + a, z = e^{-0.32} the largest
-    term is 7e3 and the sum 3.2e-9).
-    """
-    m = -_as_nonpositive_int(b, "b")
-    cr = round(c)
-    if abs(c - cr) < 1e-12 and cr <= 0 and -cr < m:
-        raise ValueError(f"c={c} hits a pole before the series terminates (b={b})")
-    return appell_f1_terminating(a, b, 0, c, z, 0.0)
 
 
 #: relative accuracy asked of the terminating Appell F1 sum; when the
@@ -164,102 +128,10 @@ def _f1_terms(a, mb, nc, d, x, y, one):
     return terms
 
 
-def kummer_phi(a, c, x, ctl=DEFAULT_SERIES):
-    """Kummer confluent function Phi(a, c; x) = 1F1(a; c; x), real arguments.
-
-    Truncates once |term| < rel_tol * |partial sum|.  Negative arguments
-    go through the Kummer transformation Phi(a,c;x) = e^x Phi(c-a, c; -x),
-    whose series has positive terms and so avoids the cancellation of the
-    alternating direct series.
-    """
-    cr = round(c)
-    if abs(c - cr) < 1e-12 and cr <= 0:
-        raise ValueError(f"kummer_phi requires c not a non-positive integer, got c={c}")
-    if x < 0.0:
-        return _phi_series(c - a, c, -x, ctl) * math.exp(x)
-    return _phi_series(a, c, x, ctl)
-
-
-def _phi_series(a, c, x, ctl):
-    term = total = 1.0
-    carry = 0.0
-    for n in range(ctl.max_terms):
-        term = term * (a + n) / (c + n) * x / (n + 1)
-        y = term - carry
-        tmp = total + y
-        carry = (tmp - total) - y
-        total = tmp
-        if abs(term) < ctl.rel_tol * abs(total):
-            return total
-    raise NonConvergenceError(
-        f"kummer_phi did not converge within {ctl.max_terms} terms (a={a}, c={c}, x={x})"
-    )
-
-
-#: beyond this argument the two-Phi combination for Psi cancels too hard
-#: (about x / ln(10) digits lost), so kummer_psi refuses it
-PSI_X_SWITCH = 10.0
-
-
-def kummer_psi(a, b, x, ctl=DEFAULT_SERIES):
-    """Kummer function of the second kind Psi(a, b; x) for 0 < x <= PSI_X_SWITCH.
-
-    Uses the two-Phi combination
-
-        Psi(a,b;x) = Gamma(1-b)/Gamma(a-b+1) Phi(a,b;x)
-                   + Gamma(b-1)/Gamma(a) x^{1-b} Phi(a-b+1, 2-b; x).
-
-    Beyond PSI_X_SWITCH the two terms cancel to about x/ln(10) digits, so
-    it raises ValueError there (kummer_psi_a1 covers Psi(1, 1/2 - k; x) at
-    any x).  The logarithmic (integer b) case never occurs in this library
-    and is not implemented.
-    """
-    if x <= 0.0:
-        raise ValueError(f"kummer_psi requires x > 0, got {x}")
-    if abs(b - round(b)) < 1e-12:
-        raise ValueError(f"kummer_psi is not implemented for integer b, got {b}")
-    if x > PSI_X_SWITCH:
-        raise ValueError(f"kummer_psi needs x <= PSI_X_SWITCH = {PSI_X_SWITCH}, got {x}")
-    # both coefficients in log space with explicit signs, the gammas can be huge
-    s1 = gammasgn(1.0 - b) * gammasgn(a - b + 1.0)
-    l1 = math.lgamma(1.0 - b) - math.lgamma(a - b + 1.0)
-    s2 = gammasgn(b - 1.0) * gammasgn(a)
-    l2 = math.lgamma(b - 1.0) - math.lgamma(a) + (1.0 - b) * math.log(x)
-    t1 = s1 * math.exp(l1) * kummer_phi(a, b, x, ctl)
-    t2 = s2 * math.exp(l2) * kummer_phi(a - b + 1.0, 2.0 - b, x, ctl)
-    return t1 + t2
-
-
 #: below this argument the incomplete-gamma continued fraction for the
 #: Psi(1, 1/2-k; x) family converges too slowly at small k; the upward
-#: recurrence seeded by the two-Phi value is contractive there instead
+#: recurrence from the closed-form k = 0 value serves there instead
 PSI_A1_CF_SWITCH = 8.0
-
-
-def kummer_psi_a1(b_offset, x):
-    """Psi(1, 1/2 - k; x) for integer k = b_offset >= 0 and x > 0.
-
-    Specialised evaluation used by the jump-diffusion density series,
-    where k runs into the thousands and the two-Phi formula would
-    overflow.  Two stable routes, both based on Psi(1, 1/2-k; x) =
-    e^x x^{k+1/2} Gamma(-k-1/2, x):
-
-    * x <= PSI_A1_CF_SWITCH: the incomplete-gamma recursion
-      U_{k+1} = (1 - x U_k)/(k + 3/2), seeded by the two-Phi value at
-      k = 0 (upward errors shrink by x/(k+3/2), so the seed's accuracy
-      is only dented while k < x);
-    * larger x: the classical continued fraction, which collapses to
-      U_k = 1/(x + k + 3/2 - 1*(k+3/2)/(x + k + 7/2 - 2*(k+5/2)/...))
-      and converges in a few dozen iterations once x or k is sizable.
-    """
-    if x <= 0.0:
-        raise ValueError(f"kummer_psi_a1 requires x > 0, got {x}")
-    k = int(b_offset)
-    if k < 0:
-        raise ValueError(f"kummer_psi_a1 requires k >= 0, got {b_offset}")
-    if x <= PSI_A1_CF_SWITCH:
-        return next(itertools.islice(psi_a1_stream(x), k, None))
-    return _psi_a1_cf(k, x)
 
 
 def _psi_a1_cf(k, x):
@@ -288,9 +160,26 @@ def _psi_a1_cf(k, x):
 
 
 def psi_a1_stream(x):
-    """Generator of Psi(1, 1/2 - k; x) for k = 0, 1, 2, ... (O(1) per term)."""
+    """Generator of Psi(1, 1/2 - k; x) for k = 0, 1, 2, ... and x > 0, O(1) per term.
+
+    The reset-density series of f_cat_sym runs k into the thousands.  Both
+    routes rest on Psi(1, 1/2-k; x) = e^x x^{k+1/2} Gamma(-k-1/2, x):
+
+    * x <= PSI_A1_CF_SWITCH: the incomplete-gamma recurrence
+      U_{k+1} = (1 - x U_k)/(k + 3/2), seeded by the closed form
+      Psi(1, 1/2; x) = 2 - 2 sqrt(pi x) erfcx(sqrt x), from Gamma(-1/2, x)
+      (DLMF 8.4); errors grow by x/(k + 3/2) per step only while k < x;
+    * larger x: the classical continued fraction, which collapses to
+      U_k = 1/(x + k + 3/2 - 1*(k+3/2)/(x + k + 7/2 - 2*(k+5/2)/...))
+      and converges in a few dozen iterations once x or k is sizable.
+
+    Within 3e-13 relative of mpmath.hyperu for x in [1e-4, 8] and
+    k <= 1000.
+    """
+    if not x > 0.0:
+        raise ValueError(f"psi_a1_stream requires x > 0, got {x}")
     if x <= PSI_A1_CF_SWITCH:
-        u = kummer_psi(1.0, 0.5, x)
+        u = 2.0 - 2.0 * math.sqrt(math.pi * x) * erfcx(math.sqrt(x))
         k = 0
         while True:
             yield u
@@ -311,25 +200,35 @@ def _check_dp_args(p, z):
 
 
 def parabolic_cylinder_D(p, z):
-    """Parabolic cylinder function D_p(z) for p <= 0.
+    """Parabolic cylinder function D_p(z) for p <= 0 and z > -37.4.
 
-    z <= DP_Z_SWITCH = 0 uses the Kummer-series formula
-
-        D_p(z) = 2^{p/2} e^{-z^2/4} [ sqrt(pi)/Gamma((1-p)/2) Phi(-p/2, 1/2; z^2/2)
-                 - sqrt(2 pi) z / Gamma(-p/2) Phi((1-p)/2, 3/2; z^2/2) ],
-
-    which is cancellation-free for z <= 0.  For z > 0 the two series
-    terms cancel, so the positive-integrand representation (q = -p > 0)
+    The positive-integrand representation (q = -p > 0)
 
         D_p(z) = e^{-z^2/4} / Gamma(q) * int_0^inf t^{q-1} e^{-t^2/2 - z t} dt
 
-    is summed instead by the fixed-node rule of _dp_rule, within 1e-13
-    relative of mpmath.pcfd over q in [1e-3, 100] and z in (0, 37].
+    summed by the fixed-node rule of _dp_rule, at every z.  Within 1e-13
+    relative of mpmath.pcfd over q in [1e-3, 100] and z in [-37, 37].  It
+    underflows to 0 once z^2/4 passes about 700; parabolic_cylinder_D_log
+    does not.
     """
     _check_dp_args(p, z)
-    if z <= DP_Z_SWITCH:
-        return _dp_series(p, z)
-    return _dp_integral(p, z)
+    if p == 0.0:
+        return math.exp(-z * z / 4.0)
+    q = -p
+    m, s, _ = _dp_rule(q, z)
+    if q < 170.0 and m < 700.0:
+        # rgamma and e^m apart keep lgamma(q)'s rounding out of the exponent
+        return s * rgamma(q) * math.exp(m) * math.exp(-z * z / 4.0)
+    return s * math.exp(m - z * z / 4.0 - math.lgamma(q))
+
+
+def parabolic_cylinder_D_log(p, z):
+    """log D_p(z) for p <= 0 and z > -37.4, from the same rule; it never underflows."""
+    _check_dp_args(p, z)
+    if p == 0.0:
+        return -z * z / 4.0
+    m, s, _ = _dp_rule(-p, z)
+    return m + math.log(s) - z * z / 4.0 - math.lgamma(-p)
 
 
 def parabolic_cylinder_D_ratio(p, z1, z2):
@@ -347,26 +246,6 @@ def parabolic_cylinder_D_ratio(p, z1, z2):
     m1, s1, dlog1 = _dp_rule(-p, z1)
     m2, s2, dlog2 = _dp_rule(-p, z2)
     return math.exp(m1 - m2) * s1 / s2, dlog2 - dlog1
-
-
-def _dp_series(p, z):
-    """Kummer-series formula for D_p with real order p and real z."""
-    x = z * z / 2.0
-    t1 = math.sqrt(math.pi) * rgamma((1.0 - p) / 2.0) * kummer_phi(-p / 2.0, 0.5, x)
-    t2 = math.sqrt(2.0 * math.pi) * z * rgamma(-p / 2.0) * kummer_phi((1.0 - p) / 2.0, 1.5, x)
-    return math.exp(p * (0.5 * math.log(2.0)) - x / 2.0) * (t1 - t2)
-
-
-def _dp_integral(p, z):
-    """Integral-representation branch of D_p, for p <= 0 and large positive z."""
-    if p == 0.0:
-        return math.exp(-z * z / 4.0)
-    q = -p
-    m, s, _ = _dp_rule(q, z)
-    if q < 170.0 and m < 700.0:
-        # rgamma and e^m apart keep lgamma(q)'s rounding out of the exponent
-        return s * rgamma(q) * math.exp(m) * math.exp(-z * z / 4.0)
-    return s * math.exp(m - z * z / 4.0 - math.lgamma(q))
 
 
 def _dp_rule(q, z):
@@ -452,8 +331,8 @@ def _phi_rows(a, c, x, ctl):
     """Phi(a_k, c_k; x) for 1-D arrays a (complex) and c and one real x >= 0.
 
     Row k is the cumprod of the series' term ratios; it stops at its first
-    term below rel_tol * |partial sum|, as _phi_series does.  The columns
-    double until every row stops.
+    term below rel_tol * |partial sum|.  The columns double until every
+    row stops.
     """
     n_cols = 32
     a, c = a[:, None], c[:, None]

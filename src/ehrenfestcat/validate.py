@@ -70,32 +70,25 @@ def suite_specfun(tol):
         worst = max(worst, abs(got - ref) / max(abs(ref), 1e-300))
     checks.append(CheckResult("appell-f1 vs exact rational", worst <= 1e-11, f"rel {worst:.2e}"))
 
-    # the chain's integral table (positive terms), for several times in one
-    # call, vs the terminating Gauss sum (m <= 20, z = e^{-(lam+mu) t} up to
-    # 0.73, where its alternating terms cancel and it sums exactly) and vs
-    # its Beta value at t = 0
+    # the chain's integral table log int_0^1 u^{c-1} (1 - z u^d)^m du, for
+    # several times in one call, vs quad of its positive integrand (m <= 20,
+    # z = e^{-(lam+mu) t} up to 0.73) and vs its Beta value at t = 0
     worst = 0.0
     for lam, mu, xi, times in [(0.6, 0.6, 0.5, (1.0, 0.0)), (0.2, 0.6, 1.5, (2.0, 0.4))]:
         d = lam + mu
         table = eh._f_over_c_log_table(eh.ChainParams(10, lam, mu, xi), times)
         for (k, m, s), got in np.ndenumerate(table):
-            a, t = xi / d + s, times[k]
-            if t > 0.0:
-                ref = math.log(sf.gauss_2f1_terminating(a, -m, 1.0 + a, math.exp(-d * t)) / (a * d))
+            c, z = xi + s * d, math.exp(-d * times[k])
+            if times[k] > 0.0:
+                val, _ = quad(lambda u: u ** (c - 1.0) * (1.0 - z * u**d) ** m, 0.0, 1.0,
+                              epsabs=0.0, epsrel=1e-13, limit=200)
+                ref = math.log(val)
             else:
+                a = c / d
                 ref = math.lgamma(a) + math.lgamma(m + 1) - math.lgamma(a + m + 1) - math.log(d)
             worst = max(worst, abs(got - ref))
-    checks.append(CheckResult("chain integral table vs gauss-2f1 and beta", worst <= 1e-11,
+    checks.append(CheckResult("chain integral table vs quadrature and beta", worst <= 1e-11,
                               f"abs log {worst:.2e}"))
-
-    # cylinder-function branch agreement at the switch point
-    worst = 0.0
-    for p in (-0.1, -0.5, -1.5, -3.0):
-        for z in (sf.DP_Z_SWITCH, -sf.DP_Z_SWITCH):
-            a_series = sf._dp_series(p, z)
-            b_int = sf._dp_integral(p, z)
-            worst = max(worst, abs(a_series - b_int) / abs(b_int))
-    checks.append(CheckResult("cylinder-D branch agreement", worst <= 1e-9, f"rel {worst:.2e}"))
 
     # recurrence D_{p+1} - z D_p + p D_{p-1} = 0
     worst = 0.0
@@ -109,12 +102,21 @@ def suite_specfun(tol):
             worst = max(worst, abs(lhs) / abs(sf.parabolic_cylinder_D(p, z)))
     checks.append(CheckResult("cylinder-D recurrence", worst <= 1e-9, f"rel {worst:.2e}"))
 
-    # log-gamma recurrence
-    xs = np.linspace(0.1, 100.0, 57)
-    worst = max(
-        abs(sf.ln_gamma(x + 1.0) - sf.ln_gamma(x) - math.log(x)) for x in xs
-    )
-    checks.append(CheckResult("ln-gamma recurrence", worst <= 1e-12, f"abs {worst:.2e}"))
+    # complex-order log D_p (series or WKB) at real orders vs the real-order rule, |z| <= 1.8
+    worst = 0.0
+    for p in (-0.4, -2.0, -7.5, -40.0, -150.0):
+        for z in (-1.8, -0.9, 0.0, 0.8, 1.8):
+            got = sf.parabolic_cylinder_D_complex_log(complex(p), z)
+            worst = max(worst, abs(got - sf.parabolic_cylinder_D_log(p, z)))
+    checks.append(CheckResult("complex-order cylinder-D vs real order", worst <= 1e-9,
+                              f"abs log {worst:.2e}"))
+
+    # Psi(1, 1/2 - k; x): its recurrence side vs its continued-fraction side at the switch
+    x = sf.PSI_A1_CF_SWITCH
+    stream = sf.psi_a1_stream(x)
+    worst = max(abs(next(stream) / sf._psi_a1_cf(k, x) - 1.0) for k in range(41))
+    checks.append(CheckResult("psi recurrence vs continued fraction", worst <= 1e-12,
+                              f"rel {worst:.2e}"))
     return checks
 
 

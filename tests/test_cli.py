@@ -122,9 +122,10 @@ def test_outdir_environment_variable(tmp_path):
     assert (tmp_path / "qn.csv").exists()
 
 
-def test_validate_specfun_exit_zero(tmp_path):
-    proc = run_cli(["validate", "--suite", "specfun"], tmp_path=tmp_path)
-    assert "[pass]" in proc.stdout
+@pytest.mark.parametrize("suite", ["specfun", "all"])
+def test_validate_specfun_exit_zero(tmp_path, suite):
+    proc = run_cli(["validate", "--suite", suite], tmp_path=tmp_path)
+    assert "[pass]" in proc.stdout and "[FAIL]" not in proc.stdout
 
 
 def test_parameter_error_exit_code(tmp_path):

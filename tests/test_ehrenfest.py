@@ -183,8 +183,9 @@ def test_q_cat_closed_small_case():
     # N=1, lam=mu: the renewal integral has the elementary value
     # q_0 = (1 + xi/(xi+4 lam))/2 = 17/29 at lam=0.6, xi=0.5
     p = eh.ChainParams(N=1, lam=0.6, mu=0.6, xi=0.5)
-    assert eh.q_cat(p, 0) == pytest.approx(17.0 / 29.0, rel=1e-12)
-    assert eh.q_cat(p, 1) == pytest.approx(6.0 / 29.0, rel=1e-12)
+    q = eh.q_cat_row(p)
+    assert q.prob(0) == pytest.approx(17.0 / 29.0, rel=1e-12)
+    assert q.prob(1) == pytest.approx(6.0 / 29.0, rel=1e-12)
     assert eh.q_cat_quadrature_row(p).prob(0) == pytest.approx(17.0 / 29.0, rel=1e-9)
 
 
@@ -212,7 +213,7 @@ def test_q_cat_mirror():
 
 def test_q_cat_requires_xi():
     with pytest.raises(ValueError):
-        eh.q_cat(eh.ChainParams(N=2, lam=0.5, mu=0.5, xi=0.0), 0)
+        eh.q_cat_row(eh.ChainParams(N=2, lam=0.5, mu=0.5, xi=0.0))
 
 
 # ----------------------------------------------------------------------
@@ -395,32 +396,36 @@ def test_m2_limit_matches_long_time():
 # first passage
 
 
+# the free passage density is the xi = 0 case of fpt_density_cat_curve
+P_FREE = eh.ChainParams(N=10, lam=0.6, mu=0.6)
+
+
 def test_fpt_free_density_at_zero_time():
-    p = eh.ChainParams(N=10, lam=0.6, mu=0.6)
-    assert eh.fpt_density_free_sym(p, 3, 0.0) == 0.0
+    g = eh.fpt_density_cat_curve(P_FREE, 3, [0.0]).samples[0]
+    assert g == 0.0
     # |j| = 1 short-time value is the boundary rate, not 0
-    assert eh.fpt_density_free_sym(p, 1, 0.0) == pytest.approx(0.6 * 11)
+    g = eh.fpt_density_cat_curve(P_FREE, 1, [0.0]).samples[0]
+    assert g == pytest.approx(0.6 * 11)
 
 
 def test_fpt_free_density_symmetric_in_j():
-    p = eh.ChainParams(N=10, lam=0.6, mu=0.6)
-    for t in (0.3, 1.0, 2.5):
-        assert eh.fpt_density_free_sym(p, 4, t) == pytest.approx(
-            eh.fpt_density_free_sym(p, -4, t), rel=1e-12
-        )
+    grid = [0.3, 1.0, 2.5]
+    a = eh.fpt_density_cat_curve(P_FREE, 4, grid).samples
+    b = eh.fpt_density_cat_curve(P_FREE, -4, grid).samples
+    for ga, gb in zip(a, b):
+        assert ga == pytest.approx(gb, rel=1e-12)
 
 
 def test_fpt_free_density_normalized():
-    p = eh.ChainParams(N=10, lam=0.6, mu=0.6)
-    val, _ = quad(lambda t: eh.fpt_density_free_sym(p, 3, t), 0.0, 40.0, limit=300)
+    val, _ = quad(lambda t: eh.fpt_density_cat(P_FREE, 3, t), 0.0, 40.0, limit=300)
     assert val == pytest.approx(1.0, abs=1e-6)
 
 
 def test_fpt_free_density_requires_symmetry():
     with pytest.raises(ValueError):
-        eh.fpt_density_free_sym(P_ASYM, 3, 1.0)
+        eh.fpt_density_cat_curve(P_ASYM, 3, [1.0])
     with pytest.raises(ValueError):
-        eh.fpt_density_free_sym(eh.ChainParams(N=10, lam=0.6, mu=0.6), 0, 1.0)
+        eh.fpt_density_cat_curve(P_FREE, 0, [1.0])
 
 
 def test_fpt_cat_density_starts_at_xi():
@@ -436,9 +441,11 @@ def test_fpt_cat_density_normalized_and_nonnegative():
 
 
 def test_fpt_cat_density_zero_xi_reduction():
-    p = eh.ChainParams(N=10, lam=0.6, mu=0.6, xi=0.0)
+    # at xi = 0 the density is mu (N+1) [p_free(5, 1, t) - p_free(5, -1, t)]
     for t in (0.4, 1.7):
-        assert eh.fpt_density_cat(p, 5, t) == eh.fpt_density_free_sym(p, 5, t)
+        row = eh.p_free_row(P_FREE, 5, t)
+        g = P_FREE.mu * (P_FREE.N + 1) * (row.prob(1) - row.prob(-1))
+        assert eh.fpt_density_cat(P_FREE, 5, t) == g
 
 
 def test_fpt_cat_curve_matches_pointwise():

@@ -72,7 +72,7 @@ def test_chain_path_high_reset_rate_occupation():
     # occupation fraction of state 0 approaches the stationary weight,
     # which at xi = 50 (exit rate 12 from the origin) is about 0.82
     p = eh.ChainParams(N=10, lam=0.6, mu=0.6, xi=50.0)
-    q0 = eh.q_cat(p, 0)
+    q0 = eh.q_cat_row(p).prob(0)
     cfg = mc.SimConfig(seed=9, n_paths=1, horizon=100.0)
     fractions = [
         mc.simulate_chain_path(p, 6, cfg, i).occupation_fraction(0, 100.0)

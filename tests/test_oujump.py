@@ -101,6 +101,22 @@ def test_f_free_laplace_even_at_zero_beta():
         )
 
 
+@pytest.mark.parametrize("x, y", [(0.0, 1.5), (0.2, 1.5), (0.0, 2.5)])
+def test_f_free_laplace_far_start_vs_mpmath(x, y):
+    # the cylinder factor at z = sqrt(2/nu) max(x, y) underflows (e^{-1125}
+    # at y = 1.5) while the Gaussian quotient overflows; in logs neither does
+    mpmath = pytest.importorskip("mpmath")
+    s = 0.5
+    with mpmath.workdps(30):
+        a, nu, xm, ym = map(mpmath.mpf, (D_SYM.alpha, D_SYM.nu, x, y))
+        sq, p = mpmath.sqrt(2 / nu), -s / a
+        ref = (2 ** (s / a - 1) / (mpmath.pi * a * mpmath.sqrt(nu))
+               * mpmath.gamma(s / (2 * a)) * mpmath.gamma(0.5 + s / (2 * a))
+               * mpmath.exp(-(xm - ym) * (xm + ym) / (2 * nu))
+               * mpmath.pcfd(p, -sq * min(xm, ym)) * mpmath.pcfd(p, sq * max(xm, ym)))
+    assert ou.f_free_laplace(D_SYM, x, y, s) == pytest.approx(float(ref), rel=1e-12, abs=0)
+
+
 # ----------------------------------------------------------------------
 # stationary and transient densities with resets
 

@@ -5,13 +5,16 @@ mpmath at high precision, classical identities (erf, erfc), and frozen
 values computed from those oracles.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import erfi
 
+from ehrenfestcat import ehrenfest as eh
 from ehrenfestcat import oujump as ou
 from ehrenfestcat import specfun as sf
 from ehrenfestcat.validate import _f1_bruteforce
@@ -19,35 +22,29 @@ from ehrenfestcat.validate import _f1_bruteforce
 mpmath = pytest.importorskip("mpmath")
 
 
-def test_ln_gamma_trivial_points():
-    assert sf.ln_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-    assert sf.ln_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-15)
-    # frozen high-precision reference: ln Gamma(1/2) = ln sqrt(pi)
-    assert sf.ln_gamma(0.5) == pytest.approx(0.5723649429247001, rel=1e-13)
+def _gauss_2f1_from_table(lam, mu, xi, m, s, t):
+    """F(a, -m; 1 + a; e^{-(lam+mu) t}), a = xi/(lam+mu) + s, from the chain's integral table.
 
-
-def test_ln_gamma_domain():
-    with pytest.raises(ValueError):
-        sf.ln_gamma(0.0)
-    with pytest.raises(ValueError):
-        sf.ln_gamma(-1.5)
-
-
-def test_ln_gamma_recurrence():
-    for x in np.linspace(0.1, 100.0, 211):
-        assert abs(sf.ln_gamma(x + 1.0) - sf.ln_gamma(x) - math.log(x)) < 1e-12
+    Entry (t, m, s) is the log of that Pfaff-form sum over a (lam + mu).
+    """
+    d = lam + mu
+    table = eh._f_over_c_log_table(eh.ChainParams(N=20, lam=lam, mu=mu, xi=xi), [t])
+    return math.exp(table[0, m, s]) * (xi / d + s) * d
 
 
 def test_gauss_2f1_trivial():
-    assert sf.gauss_2f1_terminating(2.3, 0, 1.7, 0.9) == 1.0
-    for z in (-1.5, 0.0, 0.4, 2.0):
-        assert sf.gauss_2f1_terminating(1.0, -1, 1.0, z) == pytest.approx(1.0 - z, rel=1e-14)
+    for t in (0.0, 0.3, 2.0):
+        for s in (0, 7):
+            assert _gauss_2f1_from_table(0.6, 0.6, 0.5, 0, s, t) == pytest.approx(1.0, rel=1e-14)
+            a, z = 0.5 / 1.2 + s, math.exp(-1.2 * t)
+            assert _gauss_2f1_from_table(0.6, 0.6, 0.5, 1, s, t) == pytest.approx(
+                1.0 - a * z / (1.0 + a), rel=1e-14)
 
 
 def test_gauss_2f1_alternating_sum_instance():
     # frozen oracle: 0.41337698392772... from the finite alternating sum
     # c' sum_l (-1)^l C(20,l) e^{-1.2 l} / (c' + 1.2 l) with c' = 0.4167*1.2
-    got = sf.gauss_2f1_terminating(0.4167, -20, 1.4167, math.exp(-1.2))
+    got = _gauss_2f1_from_table(0.6, 0.6, 0.4167 * 1.2, 20, 0, 1.0)
     assert got == pytest.approx(0.413376983927728, rel=1e-11)
     cp = 0.4167 * 1.2
     alt = cp * math.fsum(
@@ -59,25 +56,12 @@ def test_gauss_2f1_alternating_sum_instance():
 
 def test_gauss_2f1_cancelling_sum_vs_mpmath():
     # the chain's integral table at lam=0.2, mu=0.6, xi=1.5, s=19, m=20,
-    # t=0.4: alternating terms up to 7e3 that sum to 3.2e-9, where the
-    # float sum alone is 2.2e-4 relative off
+    # t=0.4: alternating terms up to 7e3 that sum to 3.2e-9 in the direct
+    # Gauss series; the table's Pfaff form has positive terms
     a, z = 1.5 / 0.8 + 19, math.exp(-0.32)
-    c = 1.0 + a
     with mpmath.workdps(50):
-        ref = float(mpmath.hyp2f1(a, -20, c, z))
-    assert sf.gauss_2f1_terminating(a, -20, c, z) == pytest.approx(ref, rel=1e-12, abs=0)
-
-
-def test_gauss_2f1_rejects_bad_b():
-    with pytest.raises(ValueError):
-        sf.gauss_2f1_terminating(1.0, -1.5, 1.0, 0.3)
-    with pytest.raises(ValueError):
-        sf.gauss_2f1_terminating(1.0, 2, 1.0, 0.3)
-
-
-def test_gauss_2f1_rejects_pole_in_c():
-    with pytest.raises(ValueError):
-        sf.gauss_2f1_terminating(1.0, -5, -2, 0.3)
+        ref = float(mpmath.hyp2f1(a, -20, 1.0 + a, z))
+    assert _gauss_2f1_from_table(0.2, 0.6, 1.5, 20, 19, 0.4) == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def test_appell_f1_trivial():
@@ -125,73 +109,80 @@ def test_appell_f1_rejects_bad_parameters():
         sf.appell_f1_terminating(1.0, 0, 1, 2.0, 0.1, 0.1)
 
 
+def _phi(a, c, x, ctl=sf.DEFAULT_SERIES):
+    """Phi(a, c; x) from the complex-order Kummer rows."""
+    return complex(sf._phi_rows(np.array([complex(a)]), np.array([float(c)]), x, ctl)[0])
+
+
 def test_kummer_phi_trivial_and_exponential():
-    assert sf.kummer_phi(0.7, 1.9, 0.0) == 1.0
+    assert _phi(0.7, 1.9, 0.0) == 1.0
     for x in (0.3, 1.0, 5.0, 20.0):
-        assert sf.kummer_phi(1.0, 1.0, x) == pytest.approx(math.exp(x), rel=1e-12)
+        assert _phi(1.0, 1.0, x).real == pytest.approx(math.exp(x), rel=1e-12)
 
 
 def test_kummer_phi_erf_identity():
+    # Phi(1/2, 3/2; z^2) = sqrt(pi)/(2z) erfi(z), and at a complex order
     for z in (0.25, 0.8, 1.7):
-        lhs = sf.kummer_phi(0.5, 1.5, -z * z)
-        rhs = math.sqrt(math.pi) / (2.0 * z) * math.erf(z)
-        assert lhs == pytest.approx(rhs, rel=1e-11)
+        rhs = math.sqrt(math.pi) / (2.0 * z) * erfi(z)
+        assert _phi(0.5, 1.5, z * z) == pytest.approx(rhs, rel=1e-11)
+    with mpmath.workdps(30):
+        ref = complex(mpmath.hyp1f1(0.5 + 3j, 1.5, 2.0))
+    assert _phi(0.5 + 3j, 1.5, 2.0) == pytest.approx(ref, rel=1e-11)
 
 
 def test_kummer_phi_nonconvergence():
     with pytest.raises(sf.NonConvergenceError):
-        sf.kummer_phi(1.0, 1.0, 50.0, sf.SeriesControl(rel_tol=1e-12, max_terms=5))
+        _phi(1.0, 1.0, 50.0, sf.SeriesControl(rel_tol=1e-12, max_terms=5))
 
 
-def test_kummer_phi_rejects_nonpositive_integer_c():
-    with pytest.raises(ValueError):
-        sf.kummer_phi(1.0, -2.0, 0.5)
+def _psi_a1(k, x):
+    """Psi(1, 1/2 - k; x), the k-th value of psi_a1_stream(x)."""
+    return next(itertools.islice(sf.psi_a1_stream(x), k, None))
 
 
 def test_kummer_psi_asymptotic():
     # Psi(1,b;x) ~ x^{-1}(1 - (2-b)/x + ...); the first correction at
     # x = 100 is 1.5e-2, so the ratio test allows exactly that much.
-    # Psi(1, 1/2; x) at large x is the continued fraction of kummer_psi_a1
-    assert sf.kummer_psi_a1(0, 100.0) * 100.0 == pytest.approx(1.0, abs=1.6e-2)
-    assert sf.kummer_psi_a1(0, 200.0) * 200.0 == pytest.approx(1.0, abs=8e-3)
+    # Psi(1, 1/2; x) at large x is the continued fraction
+    assert _psi_a1(0, 100.0) * 100.0 == pytest.approx(1.0, abs=1.6e-2)
+    assert _psi_a1(0, 200.0) * 200.0 == pytest.approx(1.0, abs=8e-3)
 
 
 def test_kummer_psi_integral_representation():
-    # frozen oracle: int_0^inf e^{-2t}(1+t)^{-2.5} dt = 0.24730255620295838
-    assert sf.kummer_psi(1.0, -0.5, 2.0) == pytest.approx(0.24730255620295838, rel=1e-8)
+    # frozen oracle: Psi(1, -1/2; 2) = int_0^inf e^{-2t}(1+t)^{-2.5} dt = 0.24730255620295838
+    assert _psi_a1(1, 2.0) == pytest.approx(0.24730255620295838, rel=1e-8)
 
 
 def test_kummer_psi_regression_pin():
-    assert sf.kummer_psi(1.0, 0.5, 1.0) == pytest.approx(0.4842556877173758, rel=1e-10)
+    assert _psi_a1(0, 1.0) == pytest.approx(0.4842556877173758, rel=1e-10)
 
 
 def test_kummer_psi_domain():
-    with pytest.raises(ValueError):
-        sf.kummer_psi(1.0, 0.5, -1.0)
-    with pytest.raises(ValueError):
-        sf.kummer_psi(1.0, -1.0, 2.0)  # integer b (logarithmic case) unsupported
-
-
-def test_kummer_psi_refuses_large_argument():
-    # the two-Phi combination cancels to about x/ln(10) digits there
-    assert sf.kummer_psi(1.0, 0.5, sf.PSI_X_SWITCH) > 0.0
-    for x in (math.nextafter(sf.PSI_X_SWITCH, math.inf), 100.0):
-        with pytest.raises(ValueError, match="PSI_X_SWITCH"):
-            sf.kummer_psi(1.0, 0.5, x)
+    for x in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            next(sf.psi_a1_stream(x))
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 7, 30, 170, 900])
 @pytest.mark.parametrize("w", [0.05, 0.4, 2.5, 14.0])
 def test_kummer_psi_a1_continued_fraction(k, w):
-    got = sf.kummer_psi_a1(k, w)
-    # two-Phi route only usable while the gammas stay finite and its
-    # cancellation stays mild (small w)
-    if k <= 30 and w <= sf.PSI_X_SWITCH:
-        ref = sf.kummer_psi(1.0, 0.5 - k, w)
-        assert got == pytest.approx(ref, rel=1e-9)
-    # incomplete-gamma recursion: U_{k+1} = (1 - w U_k)/(k + 3/2)
-    nxt = sf.kummer_psi_a1(k + 1, w)
+    got = _psi_a1(k, w)
+    # incomplete-gamma recursion: U_{k+1} = (1 - w U_k)/(k + 3/2), which the
+    # continued fraction (w > PSI_A1_CF_SWITCH, so at w = 14) does not use
+    nxt = _psi_a1(k + 1, w)
     assert nxt == pytest.approx((1.0 - w * got) / (k + 1.5), rel=1e-9)
+
+
+@pytest.mark.parametrize("x", [1e-4, 0.3, 3.0, 7.9])
+def test_psi_a1_stream_vs_mpmath(x):
+    # up to x = PSI_A1_CF_SWITCH the recurrence from the closed-form seed
+    # at k = 0 serves; it amplifies the seed's error by about 120 at k = 5
+    stream = sf.psi_a1_stream(x)
+    values = [next(stream) for _ in range(1001)]
+    with mpmath.workdps(30):
+        for k in (0, 1, 5, 20, 100, 1000):
+            ref = float(mpmath.hyperu(1, 0.5 - k, x))
+            assert values[k] == pytest.approx(ref, rel=1e-12, abs=0), k
 
 
 def test_parabolic_cylinder_order_zero():
@@ -212,14 +203,6 @@ def test_parabolic_cylinder_order_minus_one():
     for z in (-3.0, -0.7, 0.0, 1.2, 4.0, 8.0):
         ref = math.exp(z * z / 4.0) * math.sqrt(math.pi / 2.0) * math.erfc(z / math.sqrt(2.0))
         assert sf.parabolic_cylinder_D(-1.0, z) == pytest.approx(ref, rel=1e-10)
-
-
-@pytest.mark.parametrize("p", [-0.1, -0.5, -1.5, -3.0])
-def test_parabolic_cylinder_branch_agreement(p):
-    for z in (sf.DP_Z_SWITCH, -sf.DP_Z_SWITCH):
-        a = sf._dp_series(p, z)
-        b = sf._dp_integral(p, z)
-        assert abs(a - b) / abs(b) < 1e-9
 
 
 @pytest.mark.parametrize("p", [-2.9, -2.2, -1.6, -1.05])
@@ -249,12 +232,12 @@ def test_parabolic_cylinder_complex_matches_real():
 
 #: the (q, z) box of the fixed-node rule's tests, q = -p
 RULE_Q = np.geomspace(1e-3, 100.0, 11)
-RULE_Z = (math.nextafter(sf.DP_Z_SWITCH, math.inf), 1.34, 2.2, 3.7, 6.0, 9.5, 14.0, 20.0,
+RULE_Z = (math.nextafter(0.0, math.inf), 1.34, 2.2, 3.7, 6.0, 9.5, 14.0, 20.0,
           27.0, 33.3, 37.0)
 
 
 def test_parabolic_cylinder_rule_vs_mpmath():
-    # z > DP_Z_SWITCH takes the fixed-node rule; the box reaches D = 1.1e-307
+    # the box reaches D = 1.1e-307
     with mpmath.workdps(30):
         for q in RULE_Q:
             for z in RULE_Z:
@@ -262,10 +245,30 @@ def test_parabolic_cylinder_rule_vs_mpmath():
                 assert sf.parabolic_cylinder_D(-q, z) == pytest.approx(ref, rel=1e-13, abs=0), (q, z)
 
 
+def test_parabolic_cylinder_negative_z_vs_mpmath():
+    # the fixed-node rule at z <= 0, out to the overflow edge z > -37.4,
+    # where the Kummer series it replaced raised (q = 100, z <= -32.8) or
+    # lost digits (3.3e-12 at q = 4.17, z = -37)
+    with mpmath.workdps(30):
+        for q in RULE_Q:
+            for z in np.linspace(-37.0, 0.0, 38):
+                ref = float(mpmath.pcfd(-q, z))
+                assert sf.parabolic_cylinder_D(-q, z) == pytest.approx(ref, rel=1e-13, abs=0), (q, z)
+
+
+def test_parabolic_cylinder_log_vs_mpmath():
+    # log D_p also where D_p underflows (z^2/4 > 700)
+    with mpmath.workdps(30):
+        for q in RULE_Q:
+            for z in (-37.0, -5.0, 0.0, 2.2, 37.0, 60.0, 100.0):
+                ref = float(mpmath.log(mpmath.pcfd(-q, z)))
+                assert sf.parabolic_cylinder_D_log(-q, z) == pytest.approx(ref, rel=1e-14, abs=1e-13), (q, z)
+
+
 @pytest.mark.parametrize("q", [0.42, 4.17, 20.0, 100.0])
 def test_parabolic_cylinder_small_positive_z_vs_mpmath(q):
     # the Kummer series cancels for z > 0 (7.9e-6 relative off at q = 100,
-    # z = 1), so every z > DP_Z_SWITCH = 0 takes the fixed-node rule
+    # z = 1); the fixed-node rule does not
     with mpmath.workdps(30):
         for z in (0.447, 0.8, 1.0):
             ref = float(mpmath.pcfd(-q, z))
