@@ -7,11 +7,11 @@ which is ``Generator(Philox(key=[s, i]))`` itself: per event a uniform
 for the holding time, then one for the edge.  The diffusion (stream
 version 2) draws its reset clock from sub-stream 0, its bridge clock
 from sub-stream 1 and the 256 ziggurat normals of grid block b from
-sub-stream 2 + b.  One bit generator is positioned at each lane's
-sub-stream in turn, so every path is a function of (seed, i) alone, and
-the estimators advance all paths of a chunk in lockstep: one numpy
-operation does one chain event, or one window of OU grid steps, for
-every path still running.
+sub-stream 2 + b.  The clocks are computed for all lanes at once, other
+draws by one bit generator positioned at each lane's sub-stream in turn,
+so every path is a function of (seed, i) alone, and the estimators
+advance all paths of a chunk in lockstep: one numpy operation does one
+chain event, or one window of OU grid steps, for every path still running.
 
 Diffusion endpoints are exact with no grid: the time back from t to the
 last reset is min(Exp(xi), t), then one Gaussian transition.  A reset
@@ -62,8 +62,8 @@ _RESET_CLOCK, _BRIDGE_CLOCK, _NORMALS = 0, 1, 2
 #: uniforms drawn per chain lane at a time (16 Philox blocks, 32 events)
 _CHAIN_WORDS = 64
 
-#: lanes per lockstep chunk; bounds the (lanes x words) arrays to 8 MB
-_CHAIN_LANES, _OU_LANES = 16384, 4096
+#: lanes per lockstep chunk: chain arrays up to 8 MB, OU window arrays 2 MB (one core's L2)
+_CHAIN_LANES, _OU_LANES = 16384, 1024
 
 _CENSOR_FLAG_FRACTION = 1e-3
 
@@ -168,13 +168,41 @@ class _LaneStreams:
             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         return self.gen
 
-    def rows(self, lanes, n, draw, sub=0, block=0):
-        """(lanes, n) array: row r holds n draws of the method `draw` of
-        the generator at sub-stream `sub`, block `block` of lanes[r]."""
-        out = np.empty((len(lanes), n))
-        for row, lane in zip(out, lanes.tolist()):
+    def rows(self, lanes, n, draw, sub=0, block=0, used=None):
+        """(lanes, n) array: row r holds the first used[r] (default all n)
+        draws of the method `draw` of the generator at sub-stream `sub`,
+        block `block` of lanes[r], then zeros."""
+        out = np.zeros((len(lanes), n))
+        views = out if used is None else [row[:k] for row, k in zip(out, used.tolist())]
+        for row, lane in zip(views, lanes.tolist()):
             getattr(self.at(lane, sub, block), draw)(out=row)
         return out
+
+
+#: Philox4x64 multipliers and key increments (Salmon et al., SC 2011; Random123)
+_PHILOX_M0, _PHILOX_M1, _PHILOX_W0, _PHILOX_W1 = (
+    0xD2E7470EE14C6C93, 0xCA5A826395121157, 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def _mulhilo(a, m):
+    """High and low words of the 128-bit products of the uint64 array a and the constant m."""
+    a0, a1, m0, m1 = a & 0xFFFFFFFF, a >> 32, m & 0xFFFFFFFF, m >> 32
+    lo_lo, lo_hi, hi_lo = a0 * m0, a0 * m1, a1 * m0
+    carry = ((lo_lo >> 32) + (lo_hi & 0xFFFFFFFF) + (hi_lo & 0xFFFFFFFF)) >> 32
+    return a1 * m1 + (lo_hi >> 32) + (hi_lo >> 32) + carry, a * m
+
+
+def _first_uniforms(seed, lanes, sub):
+    """The first ``random()`` of sub-stream `sub` of every lane: word 0 of
+    Philox4x64-10 at key [seed, lane] and counter [1, sub, 0, 0] (numpy
+    bumps the counter before its first block), as (w >> 11) 2^-53."""
+    key = lanes.astype(np.uint64)
+    c0, c1, c2, c3 = np.ones_like(key), np.full_like(key, sub), np.zeros_like(key), np.zeros_like(key)
+    for r in range(10):
+        (hi0, lo0), (hi1, lo1) = _mulhilo(c0, _PHILOX_M0), _mulhilo(c2, _PHILOX_M1)
+        c0, c1, c2, c3 = (hi1 ^ c1 ^ (seed + r * _PHILOX_W0) % 2**64, lo1,
+                          hi0 ^ c3 ^ (key + (r * _PHILOX_W1) % 2**64), lo0)
+    return (c0 >> 11).astype(np.float64) * 2.0**-53
 
 
 def default_horizon(model) -> float:
@@ -331,11 +359,11 @@ def _ou_transition(d: DiffusionParams, x0, dt):
     return mean, np.sqrt(0.5 * d.nu * -np.expm1(-2.0 * d.alpha * dt))
 
 
-def _exp_clock(streams, lanes, rate, sub=_RESET_CLOCK):
+def _exp_clock(seed, lanes, rate, sub=_RESET_CLOCK):
     """First event time of a Poisson(rate) clock per lane (inf at rate 0)."""
     if rate == 0.0:
         return np.full(len(lanes), np.inf)
-    return -np.log1p(-streams.rows(lanes, 1, "random", sub=sub)[:, 0]) / rate
+    return -np.log1p(-_first_uniforms(seed, lanes, sub)) / rate
 
 
 def simulate_ou_path(d: DiffusionParams, y, cfg: SimConfig, path_index) -> OuPath:
@@ -382,10 +410,9 @@ def sample_ou_endpoints(d: DiffusionParams, y, t, cfg: SimConfig) -> np.ndarray:
     """
     if not (t > 0.0 and math.isfinite(y)):
         raise ValueError(f"need t > 0 and a finite start, got t={t}, y={y}")
-    streams = _LaneStreams(cfg.seed)
     lanes = np.arange(cfg.n_paths)
-    back = np.minimum(_exp_clock(streams, lanes, d.xi), t)
-    z = streams.rows(lanes, 1, "standard_normal", sub=_NORMALS)[:, 0]
+    back = np.minimum(_exp_clock(cfg.seed, lanes, d.xi), t)
+    z = _LaneStreams(cfg.seed).rows(lanes, 1, "standard_normal", sub=_NORMALS)[:, 0]
     mean, s = _ou_transition(d, np.where(back < t, 0.0, y), back)
     return mean + s * z
 
@@ -417,8 +444,12 @@ def _ou_fpt_times(d: DiffusionParams, y, dt, horizon, cfg: SimConfig):
     e^{-alpha dt} x_{k-1} x_k / sd^2 (exact at beta = 0, where X is a
     time-changed Brownian motion; a locally linear boundary otherwise); the
     first crossing is the first step at which the summed hazard -log(1 -
-    e^{-a}) reaches the lane's Exp(1) bridge clock.  Lanes run in chunks
-    of _OU_LANES.
+    e^{-a}) reaches the lane's Exp(1) bridge clock.  Steps with a >= 40
+    are left out of the sum: each adds below e^{-40} = 4.3e-18, and the
+    clock's density is at most 1, so a passage moves with chance below
+    4.3e-18 per step.  A lane runs only the ceil(min(R, horizon) / dt)
+    steps that can set its time and draws only their normals.  Lanes run
+    in chunks of _OU_LANES.
     """
     ea = math.exp(-d.alpha * dt)
     _, sd = _ou_transition(d, 0.0, dt)
@@ -426,31 +457,34 @@ def _ou_fpt_times(d: DiffusionParams, y, dt, horizon, cfg: SimConfig):
     steps = np.arange(1.0, w + 1.0)
     gain, decay = sd * ea**-steps, ea**steps
     streams, lanes = _LaneStreams(cfg.seed), np.arange(cfg.n_paths)
-    fpt = _exp_clock(streams, lanes, d.xi)
-    stop = np.minimum(fpt, horizon)
-    clock = _exp_clock(streams, lanes, 1.0, sub=_BRIDGE_CLOCK)
+    fpt = _exp_clock(cfg.seed, lanes, d.xi)
+    n_steps = np.ceil(np.minimum(fpt, horizon) / dt).astype(np.int64)
+    clock = _exp_clock(cfg.seed, lanes, 1.0, sub=_BRIDGE_CLOCK)
     for chunk in range(0, cfg.n_paths, _OU_LANES):
         pos = np.arange(chunk, min(chunk + _OU_LANES, cfg.n_paths))
-        x, hazard, block = np.full(pos.size, float(y)), 0.0, 0
+        x, hazard, block = np.full(pos.size, float(y)), np.zeros(pos.size), 0
         while pos.size:
-            z = streams.rows(lanes[pos], OU_BLOCK, "standard_normal", sub=_NORMALS + block)
+            used = np.minimum(n_steps[pos] - block * OU_BLOCK, OU_BLOCK)
+            z = streams.rows(lanes[pos], OU_BLOCK, "standard_normal", sub=_NORMALS + block, used=used)
             row = np.arange(pos.size)
             for lo in range(0, OU_BLOCK, w):
                 m = min(w, OU_BLOCK - lo)
                 path = d.beta + decay[:m] * (x[:, None] - d.beta
                                              + np.cumsum(gain[:m] * z[row, lo : lo + m], axis=1))
                 a = (2.0 * ea / sd**2) * np.hstack([x[:, None], path[:, :-1]]) * path
-                # a <= 0 is a sign change (hazard inf); a is clipped at 700 because
-                # subnormal results make exp 14 times slower
-                with np.errstate(divide="ignore"):
-                    hazard = hazard + np.cumsum(-np.log1p(-np.exp(-np.clip(a, 0.0, 700.0))), axis=1)
-                crossed = hazard >= clock[pos, None]
-                first = crossed.argmax(axis=1)
-                hit = crossed[np.arange(row.size), first]
+                near = a < 40.0
+                live = np.flatnonzero(near.any(axis=1))
+                h, near = np.zeros((live.size, m)), near[live]
+                with np.errstate(divide="ignore"):  # a <= 0 is a sign change: hazard inf
+                    h[near] = -np.log1p(-np.exp(-np.maximum(a[live][near], 0.0)))
+                summed = hazard[live, None] + np.cumsum(h, axis=1)
+                crossed = summed >= clock[pos[live], None]
+                first, hit = crossed.argmax(axis=1), crossed[:, -1]  # the sum never falls
                 step0 = block * OU_BLOCK + lo
-                fpt[pos[hit]] = np.minimum(fpt[pos[hit]], (step0 + first[hit] + 1) * dt)
-                keep = ~hit & ((step0 + m) * dt < stop[pos])
-                pos, row, x, hazard = pos[keep], row[keep], path[keep, -1], hazard[keep, -1, None]
+                fpt[pos[live[hit]]] = np.minimum(fpt[pos[live[hit]]], (step0 + first[hit] + 1) * dt)
+                hazard[live] = summed[:, -1]
+                keep = (step0 + m < n_steps[pos]) & (hazard < clock[pos])
+                pos, row, x, hazard = pos[keep], row[keep], path[keep, -1], hazard[keep]
                 if not pos.size:
                     break
             block += 1

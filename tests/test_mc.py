@@ -6,6 +6,7 @@ estimator (not the luck) changed.
 """
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -189,6 +190,28 @@ def test_lane_outputs_prefix_invariant():
     assert np.array_equal(law, np.bincount(states + P.N, minlength=2 * P.N + 1) / 300)
 
 
+def _walk_passage(d, y, cfg, lane, dt, horizon):
+    """Reference passage time of one lane: the first step of the xi = 0
+    grid walk at which the summed bridge hazard reaches the lane's Exp(1)
+    bridge clock (a sign change has infinite hazard), or the first reset
+    epoch from numpy's own stream at sub-stream 0 if that comes first;
+    nan past the horizon."""
+    free = dataclasses.replace(d, xi=0.0)
+    x = mc.simulate_ou_path(free, y, cfg, lane).values
+    clock = -math.log1p(-mc._LaneStreams(cfg.seed).at(lane, mc._BRIDGE_CLOCK).random())
+    ea = math.exp(-d.alpha * dt)
+    prod = x[:-1] * x[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hazard = np.cumsum(np.where(prod > 0.0, -np.log1p(-np.exp(-2.0 * ea * prod / (0.5 * d.nu * (1.0 - ea**2)))),
+                                    np.inf))
+    crossed = np.flatnonzero(hazard >= clock)
+    t = (crossed[0] + 1) * dt if crossed.size else math.inf
+    if d.xi > 0.0:
+        rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, lane], dtype=np.uint64)))
+        t = min(t, -math.log1p(-rng.random()) / d.xi)
+    return t if t <= horizon else math.nan
+
+
 def test_ou_fpt_lanes_match_grid_walk():
     # xi = 0: the lockstep passage kernel (cumsum over windows of w steps)
     # stops at the first step of the step-by-step walk where the summed
@@ -199,19 +222,8 @@ def test_ou_fpt_lanes_match_grid_walk():
     for dt, horizon in ((0.3, 30.0), (0.004, 4.0)):
         cfg = mc.SimConfig(seed=8, n_paths=40, horizon=horizon, fpt_grid_dt=dt)
         times = mc._ou_fpt_times(d, 0.03, dt, horizon, cfg)
-        ea = math.exp(-d.alpha * dt)
-        var = 0.5 * d.nu * (1.0 - ea**2)
-        for i, t in enumerate(times):
-            x = mc.simulate_ou_path(d, 0.03, cfg, i).values
-            clock = -math.log1p(-mc._LaneStreams(cfg.seed).at(i, mc._BRIDGE_CLOCK).random())
-            prod = x[:-1] * x[1:]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                hazard = np.cumsum(np.where(prod > 0.0, -np.log1p(-np.exp(-2.0 * ea * prod / var)), np.inf))
-            crossed = np.flatnonzero(hazard >= clock)
-            if crossed.size == 0 or (crossed[0] + 1) * dt > horizon:
-                assert np.isnan(t)
-            else:
-                assert t == (crossed[0] + 1) * dt
+        ref = [_walk_passage(d, 0.03, cfg, i, dt, horizon) for i in range(40)]
+        assert np.array_equal(times, ref, equal_nan=True)
         assert np.isfinite(times).sum() > 20
     # the bridge finds crossings that the sign test misses
     cfg = mc.SimConfig(seed=8, n_paths=2000, horizon=4.0, fpt_grid_dt=0.3)
@@ -221,6 +233,52 @@ def test_ou_fpt_lanes_match_grid_walk():
     times = mc._ou_fpt_times(d, 0.03, 0.3, 4.0, cfg)
     assert np.all(np.isnan(sign) | (times <= sign))
     assert np.sum(times < sign) > 100
+
+
+def test_ou_fpt_lanes_with_resets_match_grid_walk():
+    # xi = 0.5: a lane draws normals only up to its first reset epoch R, so
+    # its passage time is min(R, passage of the free walk) at both step sizes
+    d = ou.DiffusionParams(alpha=1.2, beta=0.0, nu=0.001, xi=0.5)
+    for dt, horizon in ((0.3, 30.0), (0.004, 4.0)):
+        cfg = mc.SimConfig(seed=8, n_paths=40, horizon=horizon, fpt_grid_dt=dt)
+        times = mc._ou_fpt_times(d, 0.03, dt, horizon, cfg)
+        ref = [_walk_passage(d, 0.03, cfg, i, dt, horizon) for i in range(40)]
+        assert np.array_equal(times, ref, equal_nan=True)
+        # both ends are seen: passages on the grid, and lanes stopped by a reset
+        on_grid = np.isclose(times / dt, np.round(times / dt), rtol=0.0, atol=1e-9)
+        assert 5 <= on_grid.sum() <= 35
+
+
+def test_first_uniforms_match_numpy_philox():
+    # the all-lane Philox4x64-10 gives the first random() of numpy's own
+    # generator keyed [seed, lane] at sub-stream 0 and 1, bit for bit
+    lanes = np.array(list(range(100_000)) + [2**63 - 2, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1],
+                     dtype=np.uint64)
+    for seed in (0, 2**63 + 12345, 2**64 - 1):
+        for sub in (0, 1):
+            u = mc._first_uniforms(seed, lanes, sub)
+            assert np.array_equal(u, mc._LaneStreams(seed).rows(lanes, 1, "random", sub=sub)[:, 0])
+            some = np.r_[lanes[:100_000:997], lanes[-5:]]
+            ref = [np.random.Generator(np.random.Philox(key=np.array([seed, lane], dtype=np.uint64),
+                                                        counter=np.array([0, sub, 0, 0], dtype=np.uint64))).random()
+                   for lane in some.tolist()]
+            assert np.array_equal(np.r_[u[:100_000:997], u[-5:]], ref)
+            rate = 0.7
+            assert np.array_equal(mc._exp_clock(seed, lanes[:50], rate, sub), -np.log1p(-u[:50]) / rate)
+    assert np.all(mc._exp_clock(7, lanes[:50], 0.0) == np.inf)
+
+
+def test_ou_stream_version_2_pinned():
+    # sha256 of the stream-version-2 outputs; a kernel change that moves
+    # any lane must also change mc.STREAM_VERSION and these digests
+    assert mc.STREAM_VERSION == 2
+    cfg = mc.SimConfig(seed=20260810, n_paths=2000)
+    fpt = mc._ou_fpt_times(D, 0.03, 4.0 * mc.default_fpt_grid_dt(D), mc.default_horizon(D), cfg)
+    assert hashlib.sha256(fpt.tobytes()).hexdigest() == (
+        "e0208077837d46b3fcfb1155ac86df9dc929d315f726b9b2acb49fc110a409a0")
+    x = mc.sample_ou_endpoints(D, 0.03, 1.0, dataclasses.replace(cfg, n_paths=1000))
+    assert hashlib.sha256(x.tobytes()).hexdigest() == (
+        "dd24ecf098fd1d1f4be79fb50cad46923c9bb67334e55ab89692f5ad869c700d")
 
 
 @pytest.mark.parametrize("dt", [0.01, 0.1, 1.0])

@@ -266,6 +266,9 @@ def test_fpt_laplace_sym_matches_general():
         assert ou.fpt_laplace_free(D_SYM, 0.03, s) == pytest.approx(
             ou.fpt_laplace_free_sym(D_SYM, 0.03, s), rel=1e-10
         )
+    # a far start: e^{y^2/(2 nu)} alone overflows, so the cylinder factor is taken in logs
+    assert ou.fpt_laplace_free_sym(D_SYM, 1.5, 0.5) == pytest.approx(
+        ou.fpt_laplace_free(D_SYM, 1.5, 0.5), rel=1e-10)
 
 
 def test_fpt_laplace_matches_density_quadrature():
