@@ -5,10 +5,11 @@ second counter word splits that stream into sub-streams, sub-stream m
 starting at counter [0, m, 0, 0].  The chain draws from sub-stream 0,
 which is ``Generator(Philox(key=[s, i]))`` itself: per event a uniform
 for the holding time, then one for the edge.  The diffusion (stream
-version 2) draws its reset clock from sub-stream 0, its bridge clock
-from sub-stream 1 and the 256 ziggurat normals of grid block b from
-sub-stream 2 + b.  The clocks are computed for all lanes at once, other
-draws by one bit generator positioned at each lane's sub-stream in turn,
+version 3) draws its reset clock from sub-stream 0, its bridge clock or,
+at beta = 0, its passage uniform from sub-stream 1, and the 256 ziggurat
+normals of grid block b from sub-stream 2 + b.  First uniforms of a
+sub-stream are computed for all lanes at once, other draws by one bit
+generator positioned at each lane's sub-stream in turn,
 so every path is a function of (seed, i) alone, and the estimators
 advance all paths of a chunk in lockstep: one numpy operation does one
 chain event, or one window of OU grid steps, for every path still running.
@@ -16,11 +17,13 @@ chain event, or one window of OU grid steps, for every path still running.
 Diffusion endpoints are exact with no grid: the time back from t to the
 last reset is min(Exp(xi), t), then one Gaussian transition.  A reset
 puts the process at 0, so the passage time is min(R, C), where R ~
-Exp(xi) is the first reset epoch, drawn up front, and C is the end of
-the first grid step in which the free path crosses 0, by a sign change
-or by a Brownian-bridge crossing (see _ou_fpt_times).  C is high by less
-than one step, which the estimator reports by re-running at half the
-step.  Passage times past the horizon are censored.
+Exp(xi) is the first reset epoch, drawn up front, and C the free passage.
+At beta = 0 X(t) = e^{-alpha t}(y + B((nu/2)(e^{2 alpha t} - 1))) and B
+hits -y at y^2/Z^2, Z standard normal, so C is exact (see _ou_fpt_exact).
+At beta != 0 C is the end of the first grid step in which the free path
+crosses 0, by a sign change or by a Brownian-bridge crossing (see
+_ou_fpt_times), high by less than one step, which the estimator reports
+by re-running at half the step.  Passage times past the horizon are censored.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from .ehrenfest import ChainParams, Curve, ProbVector, rates
 from .oujump import DiffusionParams
@@ -51,7 +55,7 @@ __all__ = [
 ]
 
 #: version of the diffusion's stream layout, written into `simulate` CSVs
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
 #: OU grid steps per normal sub-stream
 OU_BLOCK = 256
@@ -149,6 +153,7 @@ class FptEstimate:
     n_censored: int
     censored_fraction: float
     flagged: bool
+    #: mean at half the grid step; None for the chain, at beta = 0 and without half_step_check
     mean_half_step: EstimateWithError | None = None
 
 
@@ -492,6 +497,19 @@ def _ou_fpt_times(d: DiffusionParams, y, dt, horizon, cfg: SimConfig):
     return fpt
 
 
+def _ou_fpt_exact(d: DiffusionParams, y, horizon, cfg: SimConfig):
+    """Exact passage time per lane at beta = 0, nan past the horizon: min(R,
+    log1p(2 y^2 / (nu Z^2)) / (2 alpha)), |Z| = -ndtri(u / 2) with u = 1 -
+    random() of sub-stream 1 in (0, 1]; at |Z| = 0 the free passage is inf."""
+    lanes = np.arange(cfg.n_paths)
+    z = ndtri(0.5 * (1.0 - _first_uniforms(cfg.seed, lanes, _BRIDGE_CLOCK)))
+    with np.errstate(divide="ignore"):
+        free = np.log1p(2.0 * y * y / (d.nu * z * z)) / (2.0 * d.alpha)
+    fpt = np.minimum(_exp_clock(cfg.seed, lanes, d.xi), free)
+    fpt[fpt > horizon] = np.nan
+    return fpt
+
+
 def _moment_estimates(times):
     finite = times[~np.isnan(times)]
     n = finite.size
@@ -521,12 +539,13 @@ def _fpt_histogram(times, n_total, n_bins=50) -> Curve:
 def estimate_fpt(model, start, cfg: SimConfig, half_step_check=True) -> FptEstimate:
     """First-passage-time estimates through 0 from a nonzero start.
 
-    Chain passage times are exact event times; diffusion passage times
-    are min(first reset epoch, end of the first grid step that crosses
-    0), biased high by less than one step, and the estimate is re-run at
-    half the step so the bias can be judged.  Paths that outlive the horizon are
-    censored, counted, and flag the estimate beyond 0.1%; fewer than two
-    uncensored paths raise ValueError.
+    Chain passage times are exact event times, and so are diffusion
+    passage times at beta = 0 (two draws per path, no grid).  At beta != 0
+    they are min(first reset epoch, end of the first grid step that crosses
+    0), biased high by less than one step, and with half_step_check the
+    mean is re-run at half the step so the bias can be judged.  Paths that
+    outlive the horizon are censored, counted, and flag the estimate beyond
+    0.1%; fewer than two uncensored paths raise ValueError.
     """
     if start == 0:
         raise ValueError("first passage from 0 is degenerate")
@@ -538,10 +557,13 @@ def estimate_fpt(model, start, cfg: SimConfig, half_step_check=True) -> FptEstim
     elif isinstance(model, DiffusionParams):
         if not math.isfinite(start):
             raise ValueError(f"start must be finite, got {start}")
-        dt = cfg.fpt_grid_dt if cfg.fpt_grid_dt is not None else default_fpt_grid_dt(model)
-        times = _ou_fpt_times(model, start, dt, horizon, cfg)
-        if half_step_check:
-            half, _ = _moment_estimates(_ou_fpt_times(model, start, dt / 2.0, horizon, cfg))
+        if model.beta == 0.0:
+            times = _ou_fpt_exact(model, start, horizon, cfg)
+        else:
+            dt = cfg.fpt_grid_dt if cfg.fpt_grid_dt is not None else default_fpt_grid_dt(model)
+            times = _ou_fpt_times(model, start, dt, horizon, cfg)
+            if half_step_check:
+                half, _ = _moment_estimates(_ou_fpt_times(model, start, dt / 2.0, horizon, cfg))
     else:
         raise TypeError(f"model must be ChainParams or DiffusionParams, got {type(model)}")
     censored = int(np.isnan(times).sum())

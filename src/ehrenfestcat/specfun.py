@@ -192,10 +192,12 @@ def psi_a1_stream(x):
             k += 1
 
 
-def _check_dp_args(p, z):
+def _check_dp_args(p, z, log=False):
     if p > 0.0:
         raise ValueError(f"parabolic_cylinder_D requires p <= 0, got p={p}")
-    if z < 0.0 and z * z / 2.0 > 700.0:
+    if log and z < -80.0:
+        raise ValueError(f"log D_p is tested for z >= -80, got z={z}")
+    if not log and z < 0.0 and z * z / 2.0 > 700.0:
         raise ValueError(f"D_p overflows double precision for z={z}; need z > -37.4")
 
 
@@ -223,8 +225,8 @@ def parabolic_cylinder_D(p, z):
 
 
 def parabolic_cylinder_D_log(p, z):
-    """log D_p(z) for p <= 0 and z > -37.4, from the same rule; it never underflows."""
-    _check_dp_args(p, z)
+    """log D_p(z) for p <= 0 and z >= -80, from the same rule; it never under- or overflows."""
+    _check_dp_args(p, z, log=True)
     if p == 0.0:
         return -z * z / 4.0
     m, s, _ = _dp_rule(-p, z)

@@ -291,23 +291,19 @@ def test_criterion_8_monte_carlo_concordance(tmp_path):
     assert z_chain < 4.0, f"chain FPT z = {z_chain:.2f}"
     assert not chain_est.flagged
 
-    # diffusion FPT mean at 1e6 paths: the grid detector is positively
-    # biased ~ c sqrt(dt), so the spec's documented halve-step pair is
-    # combined by sqrt(dt)-extrapolation before the 4-se comparison
+    # diffusion FPT mean at 1e6 paths: at beta = 0 the passage times are
+    # exact (the Brownian time change, no grid), so each of the two runs
+    # is compared with the closed form directly
     dt = mc.default_fpt_grid_dt(d)
     cfg_d1 = mc.SimConfig(seed=814, n_paths=1000000, horizon=25.0, fpt_grid_dt=dt)
     cfg_d2 = mc.SimConfig(seed=815, n_paths=1000000, horizon=25.0, fpt_grid_dt=dt / 2.0)
-    est1 = mc.estimate_fpt(d, 0.03, cfg_d1, half_step_check=False)
-    est2 = mc.estimate_fpt(d, 0.03, cfg_d2, half_step_check=False)
-    sr2 = math.sqrt(2.0)
-    extrap = (sr2 * est2.mean.value - est1.mean.value) / (sr2 - 1.0)
-    se_extrap = math.sqrt(
-        (sr2 / (sr2 - 1.0)) ** 2 * est2.mean.std_error**2
-        + (1.0 / (sr2 - 1.0)) ** 2 * est1.mean.std_error**2
-    )
     ref = ou.mean_fpt_cat(d, 0.03)
-    z_diff = abs(extrap - ref) / se_extrap
-    assert z_diff < 4.0, f"diffusion FPT z = {z_diff:.2f} (extrap {extrap:.5f} vs {ref:.5f})"
+    z_diff = 0.0
+    for cfg_d in (cfg_d1, cfg_d2):
+        est = mc.estimate_fpt(d, 0.03, cfg_d, half_step_check=False)
+        z = (est.mean.value - ref) / est.mean.std_error
+        assert abs(z) < 4.0, f"diffusion FPT z = {z:.2f} at seed {cfg_d.seed} ({est.mean.value:.5f} vs {ref:.5f})"
+        z_diff = max(z_diff, abs(z))
 
     # histogram against the closed-form density at 1e5 paths
     cfg_h = mc.SimConfig(seed=816, n_paths=100000, horizon=25.0, fpt_grid_dt=dt)

@@ -113,7 +113,7 @@ def test_simulate_byte_identical_with_seed(tmp_path):
     cli.main(args + ["--out", str(a)])
     cli.main(args + ["--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
-    assert "# stream = 2\n" in a.read_text()
+    assert "# stream = 3\n" in a.read_text()
 
 
 def test_outdir_environment_variable(tmp_path):

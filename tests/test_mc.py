@@ -268,10 +268,12 @@ def test_first_uniforms_match_numpy_philox():
     assert np.all(mc._exp_clock(7, lanes[:50], 0.0) == np.inf)
 
 
-def test_ou_stream_version_2_pinned():
-    # sha256 of the stream-version-2 outputs; a kernel change that moves
-    # any lane must also change mc.STREAM_VERSION and these digests
-    assert mc.STREAM_VERSION == 2
+def test_ou_stream_version_3_pinned():
+    # sha256 of the stream-version-3 outputs; a kernel change that moves
+    # any lane must also change mc.STREAM_VERSION and these digests.  The
+    # grid kernel and the endpoints keep their version-2 digests; version 3
+    # adds the exact beta = 0 passage times that estimate_fpt summarises
+    assert mc.STREAM_VERSION == 3
     cfg = mc.SimConfig(seed=20260810, n_paths=2000)
     fpt = mc._ou_fpt_times(D, 0.03, 4.0 * mc.default_fpt_grid_dt(D), mc.default_horizon(D), cfg)
     assert hashlib.sha256(fpt.tobytes()).hexdigest() == (
@@ -279,6 +281,51 @@ def test_ou_stream_version_2_pinned():
     x = mc.sample_ou_endpoints(D, 0.03, 1.0, dataclasses.replace(cfg, n_paths=1000))
     assert hashlib.sha256(x.tobytes()).hexdigest() == (
         "dd24ecf098fd1d1f4be79fb50cad46923c9bb67334e55ab89692f5ad869c700d")
+    exact = mc._ou_fpt_exact(D, 0.03, mc.default_horizon(D), cfg)
+    assert hashlib.sha256(exact.tobytes()).hexdigest() == (
+        "2c4cd6e0847367aacec1e5b2495c24538aa6945d400fa3e94368fb511f74da73")
+    assert mc.estimate_fpt(D, 0.03, cfg).mean.value == float(exact[~np.isnan(exact)].mean())
+
+
+def test_ou_exact_passage_matches_time_change():
+    # the exact beta = 0 sampler on numpy's own streams: R from sub-stream
+    # 0, |Z| = -ndtri(u / 2) with u = 1 - random() of sub-stream 1, and the
+    # free passage at tau(t) = (nu/2)(e^{2 alpha t} - 1) = y^2 / Z^2
+    cfg = mc.SimConfig(seed=2**64 - 1, n_paths=50)
+    times = mc._ou_fpt_exact(D, -0.03, 1.0, cfg)
+    ref = []
+    for lane in range(50):
+        v0, v1 = (np.random.Generator(np.random.Philox(
+            key=np.array([cfg.seed, lane], dtype=np.uint64),
+            counter=np.array([0, sub, 0, 0], dtype=np.uint64))).random() for sub in (0, 1))
+        z = stats.norm.isf((1.0 - v1) / 2.0)
+        t = min(-math.log1p(-v0) / D.xi, math.log1p(2.0 * 0.03**2 / (D.nu * z * z)) / (2.0 * D.alpha))
+        ref.append(t if t <= 1.0 else math.nan)
+    np.testing.assert_allclose(times, ref, rtol=1e-13, atol=0.0)
+    assert 0 < np.isnan(times).sum() < 50
+
+
+def test_ou_grid_kernel_within_one_step_of_exact_passage():
+    # an independent check of the grid kernel at beta = 0: at a fine step
+    # its times are the exact ones moved up by less than one step, so
+    # against the exact sampler (on another seed) F_grid(t) <= F_exact(t) +
+    # eps and F_grid(t + dt) >= F_exact(t) - eps, with eps the 1% critical
+    # value of the two-sample Kolmogorov-Smirnov test; censored times are
+    # inf.  At this step and path count, detection by sign changes alone
+    # (no bridge) breaks the second bound by 2.5 eps
+    dt = 4.0 * mc.default_fpt_grid_dt(D)
+    grid = mc._ou_fpt_times(D, 0.03, dt, 25.0, mc.SimConfig(seed=23, n_paths=100000))
+    exact = mc._ou_fpt_exact(D, 0.03, 25.0, mc.SimConfig(seed=24, n_paths=100000))
+    g, e = (np.sort(np.nan_to_num(x, nan=np.inf)) for x in (grid, exact))
+    eps = 1.63 * math.sqrt((g.size + e.size) / (g.size * e.size))
+    t = np.concatenate([g, e])
+    t = t[np.isfinite(t)]
+
+    def cdf(sample, at):
+        return np.searchsorted(sample, at, side="right") / sample.size
+
+    assert np.max(cdf(g, t) - cdf(e, t)) <= eps
+    assert np.max(cdf(e, t) - cdf(g, t + dt)) <= eps
 
 
 @pytest.mark.parametrize("dt", [0.01, 0.1, 1.0])
@@ -332,11 +379,11 @@ def test_chain_fpt_matches_linear_solve():
 def test_diffusion_fpt_histogram_and_mean():
     cfg = mc.SimConfig(seed=22, n_paths=20000, horizon=25.0)
     est = mc.estimate_fpt(D, 0.03, cfg, half_step_check=True)
-    # grid detection is positively biased; the half-step rerun must sit
-    # between the closed-form value and the full-step estimate
+    # at beta = 0 the passage times are exact: the mean is within 4 se of
+    # the closed form on both sides, and there is no grid step to halve
     ref = ou.mean_fpt_cat(D, 0.03)
-    assert est.mean.value > ref - 4.0 * est.mean.std_error
-    assert est.mean_half_step.value <= est.mean.value + 2.0 * est.mean.std_error
+    assert abs(est.mean.value - ref) < 4.0 * est.mean.std_error
+    assert est.mean_half_step is None
     # histogram bins against the closed-form density
     mids = est.density.grid
     width = mids[1] - mids[0]
@@ -344,6 +391,20 @@ def test_diffusion_fpt_histogram_and_mean():
         p_bin = ou.fpt_density_cat_sym(D, 0.03, float(m)) * width
         se = math.sqrt(max(p_bin * (1.0 - p_bin), 1e-12) / cfg.n_paths)
         assert abs(h * width - p_bin) < 4.0 * se + 0.1 * p_bin
+
+
+def test_diffusion_fpt_beta_nonzero_takes_grid_kernel():
+    # beta != 0 has no exact sampler: the estimate summarises the grid
+    # kernel's times, and the half-step rerun is reported
+    d = ou.DiffusionParams(alpha=1.2, beta=0.004, nu=0.001, xi=0.5)
+    dt = 4.0 * mc.default_fpt_grid_dt(d)
+    cfg = mc.SimConfig(seed=25, n_paths=4000, fpt_grid_dt=dt)
+    est = mc.estimate_fpt(d, 0.03, cfg, half_step_check=True)
+    horizon = mc.default_horizon(d)
+    times = mc._ou_fpt_times(d, 0.03, dt, horizon, cfg)
+    assert est.mean.value == float(times[~np.isnan(times)].mean())
+    half = mc._ou_fpt_times(d, 0.03, dt / 2.0, horizon, cfg)
+    assert est.mean_half_step.value == float(half[~np.isnan(half)].mean())
 
 
 def test_diffusion_fpt_mean_decreasing_in_xi():
@@ -369,14 +430,16 @@ def test_estimate_fpt_rejects_zero_start():
 
 
 def test_ou_fpt_censored_past_horizon():
-    # n_steps = ceil(horizon / dt) overshoots: a crossing at grid time 1.2
-    # lies past the horizon 1.0 and is censored, not recorded
+    # the grid kernel's n_steps = ceil(horizon / dt) overshoots: a crossing
+    # at grid time 1.2 lies past the horizon 1.0 and is censored, not recorded
     cfg = mc.SimConfig(seed=2, n_paths=4000, horizon=1.0, fpt_grid_dt=0.3)
-    est = mc.estimate_fpt(D, 0.03, cfg, half_step_check=False)
-    assert est.density.grid[-1] < cfg.horizon
     times = mc._ou_fpt_times(D, 0.03, 0.3, 1.0, cfg)
     assert np.nanmax(times) <= 1.0
-    assert est.n_censored == np.isnan(times).sum()
+    # at beta = 0 the estimator censors exactly the exact times past 1.0
+    est = mc.estimate_fpt(D, 0.03, cfg, half_step_check=False)
+    assert est.density.grid[-1] < cfg.horizon
+    uncut = mc._ou_fpt_exact(D, 0.03, math.inf, cfg)
+    assert est.n_censored == np.sum(uncut > 1.0) > 0
 
 
 def test_estimate_fpt_needs_two_uncensored_paths():

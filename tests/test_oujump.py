@@ -146,6 +146,18 @@ def test_w_cat_small_xi_limit():
     assert dev / peak < 1e-3  # tolerance relative to the density scale
 
 
+def test_w_cat_far_mean_vs_renewal_quad():
+    # x = 0 with beta = -0.9 puts a cylinder argument at z = -40.2, past the
+    # overflow edge of D_p but inside the log form's; W_cat is the renewal
+    # integral xi int e^{-xi t} f_free(x, t | 0) dt, taken in t = w^2
+    d = ou.DiffusionParams(alpha=1.2, beta=-0.9, nu=0.001, xi=0.5)
+    got = ou.W_cat(d, 0.0)
+    ref, _ = quad(lambda w: 2.0 * w * math.exp(-d.xi * w * w) * ou.f_free(d, 0.0, 0.0, w * w),
+                  0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)
+    assert math.isfinite(got)
+    assert got == pytest.approx(d.xi * ref, rel=1e-10)
+
+
 def test_w_cat_requires_xi():
     with pytest.raises(ValueError):
         ou.W_cat(ou.DiffusionParams(alpha=1.0, beta=0.0, nu=0.01, xi=0.0), 0.1)

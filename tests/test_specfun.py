@@ -257,12 +257,17 @@ def test_parabolic_cylinder_negative_z_vs_mpmath():
 
 
 def test_parabolic_cylinder_log_vs_mpmath():
-    # log D_p also where D_p underflows (z^2/4 > 700)
+    # log D_p also where D_p underflows (z^2/4 > 700) and, down to the log
+    # form's own edge z = -80, where D_p overflows (z < -37.4)
     with mpmath.workdps(30):
         for q in RULE_Q:
-            for z in (-37.0, -5.0, 0.0, 2.2, 37.0, 60.0, 100.0):
+            for z in (-80.0, -60.0, -50.0, -40.2, -38.0, -37.0, -5.0, 0.0, 2.2, 37.0, 60.0, 100.0):
                 ref = float(mpmath.log(mpmath.pcfd(-q, z)))
                 assert sf.parabolic_cylinder_D_log(-q, z) == pytest.approx(ref, rel=1e-14, abs=1e-13), (q, z)
+    with pytest.raises(ValueError, match="z >= -80"):
+        sf.parabolic_cylinder_D_log(-1.0, -80.5)
+    with pytest.raises(ValueError, match="overflows"):
+        sf.parabolic_cylinder_D(-1.0, -38.0)
 
 
 @pytest.mark.parametrize("q", [0.42, 4.17, 20.0, 100.0])
