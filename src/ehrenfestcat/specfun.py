@@ -9,9 +9,9 @@ law, stays for its tests and for benchmark/trace_targets.py.
 Real-order D_p has one route at every z: its positive-integrand
 integral representation, summed by a trapezoid rule on fixed nodes in
 log t, never by adaptive quadrature.  For contour inversion, log D_p
-takes an array of complex orders: the Kummer series of all of them as
-one matrix of terms where they do not cancel, a WKB expansion of
-D_p'/D_p where they do.
+takes an array of complex orders and a few real |z| <= 1.8 at once: the
+Kummer series where it does not cancel, from one coefficient matrix that
+serves every z, and a WKB expansion of D_p'/D_p where it does.
 """
 
 from __future__ import annotations
@@ -236,13 +236,14 @@ def parabolic_cylinder_D_log(p, z):
 def parabolic_cylinder_D_ratio(p, z1, z2):
     """(R, d/dp log R) for R = e^{(z1^2 - z2^2)/4} D_p(z1) / D_p(z2), p < 0.
 
-    Both factors come from _dp_rule at any z > -37.4, z <= 0 included,
-    with 1/Gamma(-p) and the Gaussians cancelled.
-    Within 1e-13 (R) and 1e-12 (d/dp log R, absolute below 1) of mpmath for
-    q = -p in [1e-3, 100], z1 in (1, 37] or {-5, -1, 0}, z2 in {0, -1}.
+    Both factors come from _dp_rule at any z >= -80, z <= 0 included,
+    in logs, with 1/Gamma(-p) and the Gaussians cancelled.  Within 1e-13
+    (R) and 1e-12 (d/dp log R, absolute below 1) of mpmath for q = -p in
+    [1e-3, 100], z1 in (1, 37] or {-5, -1, 0} with z2 in {0, -1}, and
+    z1, z2 in {-38.9, -40.2, -50, -80} wherever R is a normal double.
     """
     for z in (z1, z2):
-        _check_dp_args(p, z)
+        _check_dp_args(p, z, log=True)
     if p == 0.0:
         raise ValueError("parabolic_cylinder_D_ratio requires p < 0")
     m1, s1, dlog1 = _dp_rule(-p, z1)
@@ -285,68 +286,70 @@ def _dp_rule(q, z):
     return float(m), h * s, su / s - float(digamma(q + 1.0))
 
 
-#: admissible |z| for the complex-order evaluation; its accuracy is
-#: measured for |z| <= 1.8 (see parabolic_cylinder_D_complex_log)
-DP_COMPLEX_ZMAX = 5.0
+#: admissible |z| of the complex-order D_p: the region where its accuracy is tested
+DP_COMPLEX_ZMAX = 1.8
 #: terms of the WKB expansion of D_p'/D_p for large complex orders
 WKB_TERMS = 10
 
 
 def parabolic_cylinder_D_complex_log(p, z):
-    """log D_p(z) for complex orders p (an array, or a scalar) and one real z.
+    """log D_p(z) for complex orders p (an array, or a scalar) and real z, |z| <= 1.8.
 
+    z is a scalar, or a short sequence with one row of the result each.
     The two terms of the Kummer-series formula cancel by about
     e^{2|z| Re sqrt(-p)}, and their gamma factors overflow at large |p|.
-    So orders with |p| >= 100 or |z| Re sqrt(-p) > 1.75 + 30/|p| take the
-    WKB expansion of _dp_wkb_log, and the rest the series.  On the Talbot
-    contours of the passage transform (alpha = 1.2, xi = 0.5, t in
-    [0.0147, 6]) this is within 8.2e-10 relative of mpmath.pcfd for
-    |z| <= 1.8; beyond, moderate orders lose digits (8.5e-9 at z = 2.5,
-    5.4e-7 at 3.5, 2.5e-4 at 5).
+    So a pair (p, z) with |p| >= 100 or |z| Re sqrt(-p) > 1.75 + 30/|p|
+    takes the WKB expansion of _dp_wkb_log, and the rest the series, whose
+    coefficient matrix and gamma factors serve every z (see _phi_rows).
+    No entry depends on the others: a row equals the call with its z
+    alone, bit for bit.  On the Talbot contours of the passage transform
+    (alpha = 1.2, xi = 0.5, t in [0.0147, 6]) this is within 3.2e-9
+    relative of mpmath.pcfd for |z| <= 1.8, worst near z = 1.8, t = 0.62,
+    where the series cancels most.  It raises ValueError beyond, where
+    moderate orders lose digits (8.5e-9 at z = 2.5, 2.5e-4 at 5).
     """
-    if abs(z) > DP_COMPLEX_ZMAX:
-        raise ValueError(
-            f"complex-order D_p is restricted to |z| <= {DP_COMPLEX_ZMAX}, got z={z}"
-        )
-    p = np.asarray(p, dtype=complex)
-    q = p.ravel()
+    zs = np.atleast_1d(np.asarray(z, dtype=float))
+    if np.abs(zs).max() > DP_COMPLEX_ZMAX:
+        raise ValueError(f"complex-order D_p is restricted to |z| <= {DP_COMPLEX_ZMAX}, got z={z}")
+    q = np.asarray(p, dtype=complex).ravel()
     size = np.abs(q)
-    wkb = (size >= 100.0) | (abs(z) * np.sqrt(-q).real * size > 1.75 * size + 30.0)
-    out = np.empty(q.shape, dtype=complex)
-    if wkb.any():
-        out[wkb] = _dp_wkb_log(q[wkb], z)
-    if not wkb.all():
-        out[~wkb] = np.log(_dp_series_complex(q[~wkb], z))
-    return out.reshape(p.shape)[()]
-
-
-def _dp_series_complex(p, z):
-    """Kummer-series formula for D_p with a 1-D array of complex orders p and real z."""
-    x = z * z / 2.0
-    phi = _phi_rows(np.concatenate([-p / 2.0, (1.0 - p) / 2.0]), np.repeat([0.5, 1.5], p.size), x, DEFAULT_SERIES)
-    t1 = math.sqrt(math.pi) * rgamma((1.0 - p) / 2.0) * phi[:p.size]
-    t2 = math.sqrt(2.0 * math.pi) * z * rgamma(-p / 2.0) * phi[p.size:]
-    return np.exp(p * (0.5 * math.log(2.0)) - x / 2.0) * (t1 - t2)
+    wkb = (size >= 100.0) | (np.abs(zs)[:, None] * np.sqrt(-q).real * size > 1.75 * size + 30.0)
+    out = np.empty(wkb.shape, dtype=complex)
+    rows = np.flatnonzero(~wkb.all(axis=0))
+    if rows.size:
+        # 2^{p/2} e^{-x/2} sqrt(pi) [Phi(-p/2, 1/2; x) / Gamma((1-p)/2)
+        #                            - sqrt(2) z Phi((1-p)/2, 3/2; x) / Gamma(-p/2)],  x = z^2/2
+        x, a = zs * zs / 2.0, (np.array([[0.0], [1.0]]) - q[rows]) / 2.0
+        phi = _phi_rows(a, np.array([[0.5], [1.5]]), x, DEFAULT_SERIES)
+        lg = loggamma(a)
+        out[:, rows] = (0.5 * math.log(math.pi) - a[0] * math.log(2.0) - lg[1] - x[:, None] / 2.0
+                        + np.log(phi[:, 0] - math.sqrt(2.0) * zs[:, None] * np.exp(lg[1] - lg[0]) * phi[:, 1]))
+    for i in np.flatnonzero(wkb.any(axis=1)):
+        out[i, wkb[i]] = _dp_wkb_log(q[wkb[i]], zs[i])
+    return out.reshape(np.shape(z) + np.shape(p))[()]
 
 
 def _phi_rows(a, c, x, ctl):
-    """Phi(a_k, c_k; x) for 1-D arrays a (complex) and c and one real x >= 0.
+    """Phi(a, c; x_i) at [i, ...], for complex a and real c that broadcast together, 1-D x >= 0.
 
-    Row k is the cumprod of the series' term ratios; it stops at its first
-    term below rel_tol * |partial sum|.  The columns double until every
-    row stops.
+    The coefficients (a)_n / ((c)_n n!) are one array for every x: the
+    cumprod of (a + n) times the real 1/((c + n)(n + 1)).  Each x sums it
+    times its powers x^(n+1) along axis 0, which numpy adds in order for a
+    batch of sums (a cancelling sum loses less so than pairwise).  A sum has
+    converged once its last term is below rel_tol * |sum|; it keeps its
+    value at the first column count where it did; the count doubles until all have.
     """
-    n_cols = 32
-    a, c = a[:, None], c[:, None]
+    x, n_cols, phi, done = np.reshape(x, (-1,) + (1,) * np.ndim(a)), 32, 0.0, False
     while True:
-        n = np.arange(n_cols)
-        terms = np.cumprod((a + n) / (c + n) * (x / (n + 1.0)), axis=1)
-        partial = 1.0 + np.cumsum(terms, axis=1)
-        stop = np.abs(terms) < ctl.rel_tol * np.abs(partial)
-        if stop.any(axis=1).all():
-            return partial[np.arange(len(partial)), stop.argmax(axis=1)]
+        n = np.arange(float(n_cols)).reshape((-1,) + (1,) * np.ndim(a))
+        coef = np.cumprod((a + n) * (1.0 / ((c + n) * (n + 1.0))), axis=0)
+        terms = coef[:, None] * x ** (n[:, None] + 1.0)
+        phi = np.where(done, phi, 1.0 + terms.sum(axis=0))
+        done = done | (np.abs(terms[-1]) < ctl.rel_tol * np.abs(phi))
+        if done.all():
+            return phi
         if n_cols >= ctl.max_terms:
-            raise NonConvergenceError(f"complex-order Kummer series exceeded {ctl.max_terms} terms (x={x})")
+            raise NonConvergenceError(f"complex-order Kummer series exceeded {ctl.max_terms} terms (x={x.ravel()})")
         n_cols = min(2 * n_cols, ctl.max_terms)
 
 

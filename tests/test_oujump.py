@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from ehrenfestcat import ehrenfest as eh
 from ehrenfestcat import oujump as ou
+from ehrenfestcat import specfun as sf
 from ehrenfestcat.specfun import NonConvergenceError, SeriesControl
 
 D_SYM = ou.DiffusionParams(alpha=1.2, beta=0.0, nu=0.001, xi=0.5)
@@ -361,6 +362,29 @@ def test_fpt_moments_vs_mpmath(beta):
             assert ou.var_fpt_cat(d, y) == pytest.approx(float(m2 - m1 * m1), rel=1e-12, abs=0), xi
 
 
+def test_fpt_moments_far_from_the_mean_vs_mpmath():
+    # beta = 0.9 puts the cylinder arguments at z_num = -38.9 and
+    # z_den = -40.2, past the linear D_p's edge (z > -37.4); the ratio is
+    # formed in logs and is 8.9e-24 here
+    mpmath = pytest.importorskip("mpmath")
+    alpha, beta, nu, xi, y = 1.2, 0.9, 0.001, 0.5, 0.03
+    d = ou.DiffusionParams(alpha=alpha, beta=beta, nu=nu, xi=xi)
+    with mpmath.workdps(30):
+        sq = mpmath.sqrt(2 / mpmath.mpf(nu))
+
+        def g(s):
+            p = -s / alpha
+            return (mpmath.exp(y * (y - 2 * mpmath.mpf(beta)) / (2 * mpmath.mpf(nu)))
+                    * mpmath.pcfd(p, (y - mpmath.mpf(beta)) * sq) / mpmath.pcfd(p, -beta * sq))
+
+        gx = g(mpmath.mpf(xi))
+        m1 = (1 - gx) / xi
+        m2 = 2 / mpmath.mpf(xi) ** 2 * (1 - gx + xi * mpmath.diff(g, mpmath.mpf(xi)))
+    assert ou.fpt_laplace_free(d, y, xi) == pytest.approx(float(gx), rel=1e-13, abs=0)
+    assert ou.mean_fpt_cat(d, y) == pytest.approx(float(m1), rel=1e-14, abs=0)
+    assert ou.var_fpt_cat(d, y) == pytest.approx(float(m2 - m1 * m1), rel=1e-12, abs=0)
+
+
 def test_mean_fpt_decreasing_in_xi():
     means = [
         ou.mean_fpt_cat(ou.DiffusionParams(alpha=1.2, beta=0.0, nu=0.001, xi=float(xi)), 0.03)
@@ -467,6 +491,27 @@ def test_laplace_forms_take_complex_scalars_and_node_arrays(beta):
             one = form(complex(sk))
             assert isinstance(one, complex) and np.ndim(one) == 0
             assert one == many[k]
+
+
+def test_laplace_forms_make_one_complex_cylinder_call(monkeypatch):
+    # one complex-order D_p call serves both cylinder arguments of a form
+    calls = []
+
+    def counted(p, z):
+        calls.append(np.shape(z))
+        return sf.parabolic_cylinder_D_complex_log(p, z)
+
+    monkeypatch.setattr(ou, "parabolic_cylinder_D_complex_log", counted)
+    s = np.array([3.0 + 0.0j, 2.0 + 5.0j, -4.0 + 9.0j, -30.0 + 40.0j])
+    forms = [(lambda s: ou.f_free_laplace(D_BETA, 0.01, 0.03, s), (2,)),
+             (lambda s: ou.fpt_laplace_free(D_BETA, 0.03, s), (2,)),
+             (lambda s: ou.fpt_laplace_cat(D_BETA, 0.03, s), (2,)),
+             (lambda s: ou.fpt_laplace_free_sym(D_SYM, 0.03, s), ())]
+    for form, z_shape in forms:
+        for arg in (s, complex(s[1])):
+            calls.clear()
+            form(arg)
+            assert calls == [z_shape]
 
 
 def test_talbot_rejects_bad_input():

@@ -111,7 +111,7 @@ def test_appell_f1_rejects_bad_parameters():
 
 def _phi(a, c, x, ctl=sf.DEFAULT_SERIES):
     """Phi(a, c; x) from the complex-order Kummer rows."""
-    return complex(sf._phi_rows(np.array([complex(a)]), np.array([float(c)]), x, ctl)[0])
+    return complex(sf._phi_rows(np.array(complex(a)), np.array(float(c)), np.array([x]), ctl)[0])
 
 
 def test_kummer_phi_trivial_and_exponential():
@@ -128,6 +128,16 @@ def test_kummer_phi_erf_identity():
     with mpmath.workdps(30):
         ref = complex(mpmath.hyp1f1(0.5 + 3j, 1.5, 2.0))
     assert _phi(0.5 + 3j, 1.5, 2.0) == pytest.approx(ref, rel=1e-11)
+
+
+def test_kummer_phi_rows_keep_their_own_column_count():
+    # Phi(1, 1; x) = e^x: x = 6.5 converges at 32 columns, x = 20 needs 64,
+    # and the sum at x = 6.5 keeps its 32-column value in a call with both
+    a, c = np.array([1.0 + 0j, 0.5 + 3j]), np.array([1.0, 1.5])
+    both = sf._phi_rows(a, c, np.array([6.5, 20.0]), sf.DEFAULT_SERIES)
+    for row, x in zip(both, (6.5, 20.0)):
+        assert np.array_equal(row, sf._phi_rows(a, c, np.array([x]), sf.DEFAULT_SERIES)[0]), x
+        assert row[0].real == pytest.approx(math.exp(x), rel=1e-12)
 
 
 def test_kummer_phi_nonconvergence():
@@ -280,49 +290,99 @@ def test_parabolic_cylinder_small_positive_z_vs_mpmath(q):
             assert sf.parabolic_cylinder_D(-q, z) == pytest.approx(ref, rel=1e-14, abs=0), z
 
 
+def _contour_orders(t):
+    """The orders of the passage transform (alpha = 1.2, xi = 0.5) on the Talbot contours of time t."""
+    s = np.concatenate([ou._talbot_rule(16)[0], ou._talbot_rule(14)[0]]) / t
+    return -(s + 0.5) / 1.2
+
+
+def _log_pcfd(p, z):
+    with mpmath.workdps(30):
+        return np.array([complex(mpmath.log(mpmath.pcfd(complex(pk), z))) for pk in p])
+
+
 @pytest.mark.parametrize("t", [0.0295, 0.5, 2.0])
 def test_parabolic_cylinder_complex_array_vs_mpmath(t):
-    # the orders of the passage transform on the Talbot contour of time t
-    # (alpha = 1.2, xi = 0.5), at the cylinder arguments of y = 0.03,
-    # nu = 0.001 and five beta: z_num in [0.89, 1.79], z_den in [-0.45, 0.45];
+    # the orders of the passage transform on the Talbot contour of time t,
+    # at the cylinder arguments of y = 0.03, nu = 0.001 and five beta, both
+    # in one call: z_num in [0.89, 1.79], z_den in [-0.45, 0.45];
     # t = 0.0295 has |p| from 159 to 2729, where D_p overflows doubles
-    s = np.concatenate([ou._talbot_rule(16)[0], ou._talbot_rule(14)[0]]) / t
-    p = -(s + 0.5) / 1.2
+    p = _contour_orders(t)
     sq = math.sqrt(2.0 / 0.001)
     for beta in (0.0, 0.004, -0.004, 0.01, -0.01):
-        for z in ((0.03 - beta) * sq, -beta * sq):
-            got = sf.parabolic_cylinder_D_complex_log(p, z)
-            assert got.shape == p.shape
-            with mpmath.workdps(30):
-                ref = np.array([complex(mpmath.log(mpmath.pcfd(complex(pk), z))) for pk in p])
+        pair = ((0.03 - beta) * sq, -beta * sq)
+        got = sf.parabolic_cylinder_D_complex_log(p, pair)
+        assert got.shape == (2,) + p.shape
+        for row, z in zip(got, pair):
             # relative error of D_p, in logs because D_p overflows at small t
             # (the logs may differ by 2 pi i k); measured at most 3.3e-10
-            assert np.max(np.abs(np.expm1(got - ref))) < 1e-9, (beta, z)
+            assert np.max(np.abs(np.expm1(row - _log_pcfd(p, z)))) < 1e-9, (beta, z)
+
+
+@pytest.mark.parametrize("t", [0.0295, 0.5, 2.0])
+def test_parabolic_cylinder_complex_edge_vs_mpmath(t):
+    # |z| = 1.8 is the edge of the tested region; just past it the call raises
+    p = _contour_orders(t)
+    got = sf.parabolic_cylinder_D_complex_log(p, (-1.8, 1.8))
+    for row, z in zip(got, (-1.8, 1.8)):
+        assert np.max(np.abs(np.expm1(row - _log_pcfd(p, z)))) < 1e-9, z
+    for z in (1.81, -1.81, (0.0, 1.81)):
+        with pytest.raises(ValueError, match="1.8"):
+            sf.parabolic_cylinder_D_complex_log(p, z)
+
+
+@pytest.mark.parametrize("t", [0.0295, 0.5, 0.9, 2.0])
+def test_parabolic_cylinder_complex_rows_equal_one_z_calls(t):
+    # the series (t = 2), WKB (t = 0.0295) and both (t = 0.5, 0.9); one
+    # coefficient matrix serves every z, yet no row depends on the others
+    p = _contour_orders(t)
+    zs = (1.79, -0.45, 0.0, 1.163, -1.8)
+    many = sf.parabolic_cylinder_D_complex_log(p, zs)
+    assert many.shape == (len(zs),) + p.shape
+    for row, z in zip(many, zs):
+        assert np.array_equal(row, sf.parabolic_cylinder_D_complex_log(p, z)), z
+        assert np.array_equal(row[:3], sf.parabolic_cylinder_D_complex_log(p[:3], z)), z
+    one = sf.parabolic_cylinder_D_complex_log(p[7], zs)
+    assert one.shape == (len(zs),) and np.array_equal(one, many[:, 7])
+
+
+#: cylinder arguments below the linear D_p's edge, z > -37.4
+FAR_Z = (-38.9, -40.2, -50.0, -80.0)
 
 
 def test_parabolic_cylinder_ratio_and_order_derivative_vs_mpmath():
     # R = e^{(z1^2 - z2^2)/4} D_p(z1)/D_p(z2) and d/dp log R, all from the
     # fixed-node rule; d/dp log D_p(0) crosses 0 near p = -0.86, hence
-    # the absolute floor
+    # the absolute floor.  Below -37.4 every pair of FAR_Z is checked
+    # whose R is a double: R where it is normal, d/dp log R also where R
+    # underflows
+    near = RULE_Z[::2] + (-5.0, -1.0, 0.0)
+    pairs = [(z1, z2) for z1 in near for z2 in (0.0, -1.0)] + list(itertools.product(FAR_Z, FAR_Z))
     with mpmath.workdps(30):
         for q in RULE_Q:
             dlog = {}
-            for z in RULE_Z[::2] + (-5.0, -1.0, 0.0):
+            for z in near + FAR_Z:
                 dlog[z] = mpmath.diff(lambda p: mpmath.log(mpmath.pcfd(p, z)), -q)
-            for z1 in dlog:
-                for z2 in (0.0, -1.0):
-                    ratio, dlog_ratio = sf.parabolic_cylinder_D_ratio(-q, z1, z2)
-                    ref = mpmath.exp((z1 * z1 - z2 * z2) / 4) * mpmath.pcfd(-q, z1) / mpmath.pcfd(-q, z2)
+            for z1, z2 in pairs:
+                ref = mpmath.exp((z1 * z1 - z2 * z2) / 4) * mpmath.pcfd(-q, z1) / mpmath.pcfd(-q, z2)
+                if ref > 1e300:
+                    continue
+                ratio, dlog_ratio = sf.parabolic_cylinder_D_ratio(-q, z1, z2)
+                if ref > 1e-300:
                     assert ratio == pytest.approx(float(ref), rel=1e-13, abs=0), (q, z1, z2)
-                    assert dlog_ratio == pytest.approx(float(dlog[z1] - dlog[z2]), rel=1e-12,
-                                                       abs=1e-12), (q, z1, z2)
+                else:
+                    assert ratio < 1e-300, (q, z1, z2)
+                assert dlog_ratio == pytest.approx(float(dlog[z1] - dlog[z2]), rel=1e-12,
+                                                   abs=1e-12), (q, z1, z2)
 
 
 def test_parabolic_cylinder_ratio_domain():
     with pytest.raises(ValueError):
         sf.parabolic_cylinder_D_ratio(0.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        sf.parabolic_cylinder_D_ratio(-1.0, 1.0, -38.0)
+    with pytest.raises(ValueError, match="z >= -80"):
+        sf.parabolic_cylinder_D_ratio(-1.0, 1.0, -80.5)
+    with pytest.raises(ValueError, match="z >= -80"):
+        sf.parabolic_cylinder_D_ratio(-1.0, -80.5, -80.0)
 
 
 @pytest.mark.parametrize("y, s", [(37.0, 10.0), (37.0, 50.0), (5.0, 100.0)])
