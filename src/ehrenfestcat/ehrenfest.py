@@ -8,9 +8,10 @@ with catastrophes in closed form, exact moments, first-passage-time
 quantities, and three independent evaluation routes (closed form,
 renewal quadrature, Kolmogorov ODE) that are cross-checked in the tests.
 
-All products of binomials and rate powers are accumulated in log space;
-the closed forms mix terms spanning many orders of magnitude already at
-N = 10.
+The free rows accumulate their products of binomials and rate powers in
+log space, since they mix terms spanning many orders of magnitude already
+at N = 10; the renewal tail is a tridiagonal solve that adds only
+positive terms.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad_vec, solve_ivp
 from scipy.integrate import quad  # noqa: F401  unused; benchmark/trace_targets.py patches it
+from scipy.linalg import solve_banded
 
 from .specfun import NonConvergenceError
 from .specfun import appell_f1_terminating  # noqa: F401  unused; benchmark/trace_targets.py patches it
@@ -359,16 +361,17 @@ def var_free(p: ChainParams, j, t) -> float:
 def q_cat_row(p: ChainParams) -> ProbVector:
     """Stationary law of the chain with catastrophes, in closed form.
 
-    q_n = xi int_0^inf e^{-xi tau} p_free(0, n, tau) dtau = T_n(0), the
-    renewal tail of p_cat_closed_row at t = 0 (see _renewal_tail): one
-    log-space sum of positive terms for both laws.  Term by term it is the
-    Appell-F1 form of the paper, by B(m+1, a) (a)_s / (a+m+1)_s =
-    B(m+1, a+s) with a = xi/(lam+mu).  Against the null space of
-    generator_matrix it agrees to 6e-15 absolute or better for N <= 160.
+    q = xi int_0^inf e^{-xi tau} p_free(0, ., tau) dtau = xi e_0 (xi I - Q_free)^{-1},
+    the renewal tail of p_cat_closed_rows at t = 0 (see _renewal_tail):
+    one tridiagonal resolvent solve whose every step adds positive terms,
+    so no entry is negative.  It equals the Appell-F1 form of the paper.
+    Against the null space of generator_matrix it agrees to 1e-12
+    absolute over N <= 160, lam/mu from 0.01 to 100 and xi from 0.01 to 5.
     """
     if not p.xi > 0.0:
         raise ValueError("the stationary law with catastrophes requires xi > 0; use q_free_row for xi = 0")
-    return ProbVector(p.N, _renewal_tail(p, np.zeros(1))[0])
+    t0 = np.zeros(1)
+    return ProbVector(p.N, _renewal_tail(p, t0, _free_rows(p, 0, t0))[0])
 
 
 def q_cat_quadrature_row(p: ChainParams, tol=1e-11) -> ProbVector:
@@ -413,130 +416,48 @@ def _outer_index_sum(N: int) -> np.ndarray:
     return out
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log sum exp(a) along the last axis, for finite a (-inf entries allowed)."""
-    mx = a.max(axis=-1)
-    return mx + np.log(np.exp(a - mx[..., None]).sum(axis=-1))
+def _renewal_tail(p: ChainParams, times: np.ndarray, free0: np.ndarray) -> np.ndarray:
+    """T(t) = xi int_t^inf e^{-xi tau} p_free(0, ., tau) dtau at every time, (time, n), xi > 0.
 
-
-def _f_over_c_log_table(p: ChainParams, times) -> np.ndarray:
-    """log int_0^1 u^{c-1} (1 - z u^d)^m du at every time, as a (time, m, s) array, m, s in 0..2N.
-
-    d = lam + mu, c = xi + s d, z = e^{-d t}.  Integrating by parts gives
-    the recurrence of positive terms
-
-        I_m(c) = [(1 - z)^m + m d z I_{m-1}(c + d)] / c,    I_0(c) = 1/c,
-
-    whose expansion is the Pfaff form (DLMF 15.8.1) of F(c/d, -m; 1+c/d; z)/c,
-
-        (1/c) sum_{l=0}^m C(m,l) l! / (1+c/d)_l z^l (1-z)^{m-l}.
-
-    It runs in linear space over (time, s) arrays, with s up to 4N at
-    m = 0 so that row m = 2N still holds s in 0..2N.  At t = 0 only l = m
-    remains: B(c/d, m+1)/d.  Every entry is at least that Beta value, so
-    the entries with m + s <= 2N, the ones _renewal_tail uses, are normal
-    floats up to N of about 500.  validate checks the table against
-    quad of the integrand (m <= 20, z up to 0.73) and the Beta value to
-    1e-11 in the log.
-    """
-    N, xi, d = p.N, p.xi, p.lam + p.mu
-    t = np.asarray(times, dtype=float)[:, None]
-    inv_c = 1.0 / (xi + d * np.arange(4 * N + 1))
-    z, one_minus_z = np.exp(-d * t), -np.expm1(-d * t)
-    out = np.empty((t.shape[0], 2 * N + 1, 2 * N + 1))
-    row = np.broadcast_to(inv_c, (t.shape[0], inv_c.size))
-    out[:, 0] = row[:, : 2 * N + 1]
-    for m in range(1, 2 * N + 1):
-        row = (one_minus_z**m + m * d * z * row[:, 1:]) * inv_c[: inv_c.size - m]
-        out[:, m] = row[:, : 2 * N + 1]
-    with np.errstate(divide="ignore"):          # unused entries beyond m + s = 2N may underflow
-        return np.log(out, out=out)
-
-
-def _pair_coefficients(p: ChainParams):
-    """Time-free coefficients of the renewal tail, grouped by a + b.
-
-    For a, b in 0..N and r = mu/lam,
-
-        P_{a,b}[s] = sum_{h+k=s} C(a,h) C(b,k) r^{h-k} = [x^s] (1 + r x)^a (1 + x/r)^b.
-
-    Group g = a + b holds the pairs a = max(0, g-N)..min(N, g), b = g - a.
-    It comes from group g - 1 by one positive shift-add per row: times
-    (1 + x/r) for b >= 1, and times (1 + r x) for the new pair (g, 0).
-    Each row is rescaled to max 1 and its log scale kept, so no entry
-    overflows.  Returns a list over g of (a, rows (pairs, g+1), log scales).
-    """
-    N, r = p.N, p.mu / p.lam
-    rows, scale = np.ones((1, 1)), np.zeros(1)
-    groups = [(np.zeros(1, dtype=int), rows, scale)]
-    for g in range(1, 2 * N + 1):
-        keep = 1 if g > N else 0                    # pair (g-1-N, N) leaves the range
-        grown = np.zeros((rows.shape[0] - keep + (g <= N), g + 1))
-        grown[: rows.shape[0] - keep, :-1] = rows[keep:]
-        grown[: rows.shape[0] - keep, 1:] += rows[keep:] / r
-        new_scale = scale[keep:]
-        if g <= N:                                  # the pair (g, 0)
-            grown[-1, :-1] = rows[-1]
-            grown[-1, 1:] += r * rows[-1]
-            new_scale = np.append(new_scale, scale[-1])
-        top = grown.max(axis=1)
-        rows, scale = grown / top[:, None], new_scale + np.log(top)
-        groups.append((np.arange(max(0, g - N), min(N, g) + 1), rows, scale))
-    return groups
-
-
-def _renewal_tail(p: ChainParams, times: np.ndarray) -> np.ndarray:
-    """T_n(t) = xi int_t^inf e^{-xi tau} p_free(0, n, tau) dtau at every time, (time, n), xi > 0.
-
-    By renewal at the last catastrophe, p_cat(j,n,t) = q_n + e^{-xi t}
-    p_free(j,n,t) - T_n(t) with q_n = T_n(0).  Expanding the two binomials
-    of p_free(0, n, tau) in powers of e^{-d tau}, d = lam + mu, and summing
-    over the powers h + k = s first gives, with the pair coefficients P
-    of _pair_coefficients and the table I of _f_over_c_log_table,
-
-        T_n(t) = xi e^{-xi t} lam^{N+n} mu^{N-n} d^{-2N}
-                 sum_{a-b=n} C(N,a) C(N,b) sum_{s<=a+b} P_{a,b}[s] e^{-d t s} I_{2N-a-b,s}(t),
-
-    a sum of positive terms.  The coefficients are built once per call.
-    For each group a + b the sum over s is a product of the rescaled
-    coefficients with the table row divided by its s = 0 entry (the
-    largest: I and e^{-d t s} both fall with s); the sum over the pairs
-    of each n is in log space.  Long grids run slice by slice.
+    By renewal at the last catastrophe, p_cat(j,.,t) = q + e^{-xi t}
+    p_free(j,.,t) - T(t) with q = T(0).  free0 holds the rows p_free(0,.,t)
+    of the times.  The free chain is Markov, so T(t) = xi e^{-xi t} x(t)
+    with x^T A = free0(t)^T, where A = xi I - Q_free is a tridiagonal
+    M-matrix with birth rates lam_k = lam (N-n) and death rates
+    mu_k = mu (N+n) at state n = k - N.  A = LU with the subtraction-free
+    pivots of Grassmann, Taksar & Heyman (Oper. Res. 33, 1985): s_0 = xi,
+    s_k = xi + mu_k s_{k-1}/d_{k-1} and d_k = s_k + lam_k, where s_k is the
+    row sum of the Schur complement.  The solves with U^T and then L^T are
+    two bidiagonal substitutions for all times at once; d_k > lam_k, so
+    neither pivots, and every step adds positive terms.
     """
     N, lam, mu, xi = p.N, p.lam, p.mu, p.xi
-    d = lam + mu
-    times = np.asarray(times, dtype=float)
-    groups = _pair_coefficients(p)
-    lcN = _lchoose_row(N)
     n = np.arange(-N, N + 1)
-    out = np.empty((times.size, 2 * N + 1))
-    for sl in _time_slices(times.size, (2 * N + 1) ** 2):
-        t = times[sl, None]
-        log_i = _f_over_c_log_table(p, times[sl])
-        by_pair = np.full((t.shape[0], 2 * N + 1, N + 1), -np.inf)   # (time, n, a)
-        for g, (a, rows, scale) in enumerate(groups):
-            m = 2 * N - g
-            ratio = np.exp(log_i[:, m, : g + 1] - log_i[:, m, :1] - d * t * np.arange(g + 1))
-            summed = (ratio[:, None, :] * rows[None, :, :]).sum(axis=-1)      # (time, pair)
-            by_pair[:, 2 * a - g + N, a] = (np.log(summed) + scale + lcN[a] + lcN[g - a]
-                                            + log_i[:, m, :1])
-        out[sl] = _logsumexp(by_pair) - xi * t
-    return np.exp(out + math.log(xi) - 2 * N * math.log(d)
-                  + (N + n) * math.log(lam) + (N - n) * math.log(mu))
+    birth, death = lam * (N - n), mu * (N + n)
+    s, d = xi, [xi + lam * 2 * N]
+    for k in range(1, 2 * N + 1):
+        s = xi + mu * k * s / d[-1]
+        d.append(s + lam * (2 * N - k))
+    d = np.array(d)
+    ut = np.vstack([d, -birth])                        # U^T: d_k, and -lam_k below it
+    lt = np.vstack([-death / np.roll(d, 1), np.ones(2 * N + 1)])   # L^T: -mu_k/d_{k-1} above 1
+    x = solve_banded((0, 1), lt, solve_banded((1, 0), ut, free0.T))
+    return (xi * np.exp(-xi * times))[:, None] * x.T
 
 
 def p_cat_closed_rows(p: ChainParams, j, grid) -> list[ProbVector]:
     """Transient law with catastrophes at every time of grid, started at j, in closed form.
 
-    q_n + e^{-xi t} p_free(j,n,t) - T_n(t), with the free rows of
-    _free_rows and the renewal tail T of _renewal_tail (q = T(0)), each
-    computed for the whole grid at once.  The grid may be in any order and
-    repeat times; rows at t = 0 are the exact initial vector, and at
-    xi = 0 the rows are the free ones.  Every term is positive, so no row
-    is NaN.  Against scipy.linalg.expm of generator_matrix it agrees to
-    1e-12 absolute (2.4e-14 measured) over N <= 80, lam/mu from 0.1 to
-    100, xi from 0.05 to 5 and t in [1e-3, 10]; validate checks it
-    against ode_transient on the 400-point default grid at N = 10 and 40.
+    q + e^{-xi t} p_free(j,.,t) - T(t), with the free rows of _free_rows
+    and the renewal tail T of _renewal_tail (q = T(0)), each computed for
+    the whole grid at once.  The grid may be in any order and repeat
+    times; rows at t = 0 are the exact initial vector, and at xi = 0 the
+    rows are the free ones.  Against scipy.linalg.expm of
+    generator_matrix it agrees to 1e-12 absolute, and no entry is below
+    -1e-12, over N <= 160, lam/mu from 0.01 to 100, xi from 0.01 to 5 and
+    t in [1e-3, 10]; validate checks it against ode_transient on the
+    400-point default grid at N = 10 and 40, and against
+    p_cat_quadrature_row at N = 40 and t in {1e-3, 0.01}.
     """
     j = p.check_state(j, "j")
     times = _check_times(grid)
@@ -544,8 +465,9 @@ def p_cat_closed_rows(p: ChainParams, j, grid) -> list[ProbVector]:
     live = times > 0.0
     if p.xi > 0.0 and live.any():
         t = times[live]
-        rows[live] = (q_cat_row(p).values + np.exp(-p.xi * t)[:, None] * rows[live]
-                      - _renewal_tail(p, t))
+        free = rows[live]
+        tail = _renewal_tail(p, t, free if j == 0 else _free_rows(p, 0, t))
+        rows[live] = q_cat_row(p).values + np.exp(-p.xi * t)[:, None] * free - tail
     return [ProbVector(p.N, v) for v in rows]
 
 

@@ -192,6 +192,10 @@ def psi_a1_stream(x):
             k += 1
 
 
+#: log of the largest double, 709.78
+_LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
+
+
 def _check_dp_args(p, z, log=False):
     if p > 0.0:
         raise ValueError(f"parabolic_cylinder_D requires p <= 0, got p={p}")
@@ -241,6 +245,8 @@ def parabolic_cylinder_D_ratio(p, z1, z2):
     (R) and 1e-12 (d/dp log R, absolute below 1) of mpmath for q = -p in
     [1e-3, 100], z1 in (1, 37] or {-5, -1, 0} with z2 in {0, -1}, and
     z1, z2 in {-38.9, -40.2, -50, -80} wherever R is a normal double.
+    R must stay within the double range (below 1.8e308): where it passes
+    it, as at (p, z1, z2) = (-1, -38.9, 0), the call raises ValueError.
     """
     for z in (z1, z2):
         _check_dp_args(p, z, log=True)
@@ -248,7 +254,11 @@ def parabolic_cylinder_D_ratio(p, z1, z2):
         raise ValueError("parabolic_cylinder_D_ratio requires p < 0")
     m1, s1, dlog1 = _dp_rule(-p, z1)
     m2, s2, dlog2 = _dp_rule(-p, z2)
-    return math.exp(m1 - m2) * s1 / s2, dlog2 - dlog1
+    r = math.exp(m1 - m2) * s1 / s2 if m1 - m2 < _LOG_DOUBLE_MAX else math.inf
+    if r == math.inf:
+        raise ValueError(f"R = e^((z1^2 - z2^2)/4) D_p(z1)/D_p(z2) passes the double range "
+                         f"at p={p}, z1={z1}, z2={z2} (log R = {m1 - m2 + math.log(s1 / s2):.1f})")
+    return r, dlog2 - dlog1
 
 
 def _dp_rule(q, z):

@@ -70,26 +70,6 @@ def suite_specfun(tol):
         worst = max(worst, abs(got - ref) / max(abs(ref), 1e-300))
     checks.append(CheckResult("appell-f1 vs exact rational", worst <= 1e-11, f"rel {worst:.2e}"))
 
-    # the chain's integral table log int_0^1 u^{c-1} (1 - z u^d)^m du, for
-    # several times in one call, vs quad of its positive integrand (m <= 20,
-    # z = e^{-(lam+mu) t} up to 0.73) and vs its Beta value at t = 0
-    worst = 0.0
-    for lam, mu, xi, times in [(0.6, 0.6, 0.5, (1.0, 0.0)), (0.2, 0.6, 1.5, (2.0, 0.4))]:
-        d = lam + mu
-        table = eh._f_over_c_log_table(eh.ChainParams(10, lam, mu, xi), times)
-        for (k, m, s), got in np.ndenumerate(table):
-            c, z = xi + s * d, math.exp(-d * times[k])
-            if times[k] > 0.0:
-                val, _ = quad(lambda u: u ** (c - 1.0) * (1.0 - z * u**d) ** m, 0.0, 1.0,
-                              epsabs=0.0, epsrel=1e-13, limit=200)
-                ref = math.log(val)
-            else:
-                a = c / d
-                ref = math.lgamma(a) + math.lgamma(m + 1) - math.lgamma(a + m + 1) - math.log(d)
-            worst = max(worst, abs(got - ref))
-    checks.append(CheckResult("chain integral table vs quadrature and beta", worst <= 1e-11,
-                              f"abs log {worst:.2e}"))
-
     # recurrence D_{p+1} - z D_p + p D_{p-1} = 0
     worst = 0.0
     for p in (-2.5, -1.7, -1.2):
@@ -146,6 +126,15 @@ def suite_chain(tol):
     o = eh.ode_transient(p, 20, np.array([0.01]))[0]
     worst_tri = max(worst_tri, np.abs(eh.p_cat_closed_row(p, 20, 0.01).values - o.values).max())
     checks.append(CheckResult("transient oracle triangle", worst_tri <= tol, f"abs {worst_tri:.2e}"))
+
+    # small times at N = 40, where q - T(t) cancels most, vs the renewal quadrature
+    worst = 0.0
+    for lam, mu in ((0.6, 0.6), (0.2, 0.6)):
+        p = eh.ChainParams(N=40, lam=lam, mu=mu, xi=0.5)
+        for t, rc in zip((1e-3, 0.01), eh.p_cat_closed_rows(p, 20, (1e-3, 0.01))):
+            worst = max(worst, np.abs(rc.values - eh.p_cat_quadrature_row(p, 20, t).values).max())
+    checks.append(CheckResult("transient rows at small t vs quadrature", worst <= 1e-10,
+                              f"abs {worst:.2e}"))
 
     # the grid route on the 400-point default grid vs the Kolmogorov ODE
     worst = 0.0

@@ -313,6 +313,27 @@ def test_chain_laws_vs_expm_and_null_space(N):
                 assert got == pytest.approx(law[:, j + N], rel=0, abs=1e-12)
 
 
+@pytest.mark.parametrize("xi", [0.01, 5.0])
+@pytest.mark.parametrize("lam, mu", [(0.02, 2.0), (2.0, 0.02)])
+@pytest.mark.parametrize("N", [1, 160])
+def test_chain_laws_at_the_corners_of_their_region(N, lam, mu, xi):
+    # the region both docstrings state: N <= 160, lam/mu from 0.01 to 100,
+    # xi from 0.01 to 5, t in [1e-3, 10]; j = 0 takes the tail from the
+    # free rows it already has
+    p = eh.ChainParams(N=N, lam=lam, mu=mu, xi=xi)
+    Q = eh.generator_matrix(p)
+    stat = null_space(Q.T)[:, 0]
+    q = eh.q_cat_row(p).values
+    assert q == pytest.approx(stat / stat.sum(), rel=0, abs=1e-12)
+    assert q.min() >= 0.0
+    times = (1e-3, 10.0)
+    laws = [expm(Q.T * t) for t in times]
+    for j in (-N, 0, N):
+        for law, row in zip(laws, eh.p_cat_closed_rows(p, j, times)):
+            assert row.values == pytest.approx(law[:, j + N], rel=0, abs=1e-12)
+            assert row.values.min() >= -1e-12
+
+
 def test_p_cat_closed_rows_equal_single_rows():
     # unsorted, with a repeated time and t = 0: row k is the one-time row, bit for bit
     grid = [2.0, 0.0, 0.3, 1e-3, 0.3, 7.5]

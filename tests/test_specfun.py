@@ -14,54 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erfi
 
-from ehrenfestcat import ehrenfest as eh
 from ehrenfestcat import oujump as ou
 from ehrenfestcat import specfun as sf
 from ehrenfestcat.validate import _f1_bruteforce
 
 mpmath = pytest.importorskip("mpmath")
-
-
-def _gauss_2f1_from_table(lam, mu, xi, m, s, t):
-    """F(a, -m; 1 + a; e^{-(lam+mu) t}), a = xi/(lam+mu) + s, from the chain's integral table.
-
-    Entry (t, m, s) is the log of that Pfaff-form sum over a (lam + mu).
-    """
-    d = lam + mu
-    table = eh._f_over_c_log_table(eh.ChainParams(N=20, lam=lam, mu=mu, xi=xi), [t])
-    return math.exp(table[0, m, s]) * (xi / d + s) * d
-
-
-def test_gauss_2f1_trivial():
-    for t in (0.0, 0.3, 2.0):
-        for s in (0, 7):
-            assert _gauss_2f1_from_table(0.6, 0.6, 0.5, 0, s, t) == pytest.approx(1.0, rel=1e-14)
-            a, z = 0.5 / 1.2 + s, math.exp(-1.2 * t)
-            assert _gauss_2f1_from_table(0.6, 0.6, 0.5, 1, s, t) == pytest.approx(
-                1.0 - a * z / (1.0 + a), rel=1e-14)
-
-
-def test_gauss_2f1_alternating_sum_instance():
-    # frozen oracle: 0.41337698392772... from the finite alternating sum
-    # c' sum_l (-1)^l C(20,l) e^{-1.2 l} / (c' + 1.2 l) with c' = 0.4167*1.2
-    got = _gauss_2f1_from_table(0.6, 0.6, 0.4167 * 1.2, 20, 0, 1.0)
-    assert got == pytest.approx(0.413376983927728, rel=1e-11)
-    cp = 0.4167 * 1.2
-    alt = cp * math.fsum(
-        (-1) ** l * math.comb(20, l) * math.exp(-1.2 * l) / (cp + 1.2 * l)
-        for l in range(21)
-    )
-    assert got == pytest.approx(alt, rel=1e-11)
-
-
-def test_gauss_2f1_cancelling_sum_vs_mpmath():
-    # the chain's integral table at lam=0.2, mu=0.6, xi=1.5, s=19, m=20,
-    # t=0.4: alternating terms up to 7e3 that sum to 3.2e-9 in the direct
-    # Gauss series; the table's Pfaff form has positive terms
-    a, z = 1.5 / 0.8 + 19, math.exp(-0.32)
-    with mpmath.workdps(50):
-        ref = float(mpmath.hyp2f1(a, -20, 1.0 + a, z))
-    assert _gauss_2f1_from_table(0.2, 0.6, 1.5, 20, 19, 0.4) == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def test_appell_f1_trivial():
@@ -355,7 +312,7 @@ def test_parabolic_cylinder_ratio_and_order_derivative_vs_mpmath():
     # fixed-node rule; d/dp log D_p(0) crosses 0 near p = -0.86, hence
     # the absolute floor.  Below -37.4 every pair of FAR_Z is checked
     # whose R is a double: R where it is normal, d/dp log R also where R
-    # underflows
+    # underflows; where R is past the double range the call must raise
     near = RULE_Z[::2] + (-5.0, -1.0, 0.0)
     pairs = [(z1, z2) for z1 in near for z2 in (0.0, -1.0)] + list(itertools.product(FAR_Z, FAR_Z))
     with mpmath.workdps(30):
@@ -365,7 +322,10 @@ def test_parabolic_cylinder_ratio_and_order_derivative_vs_mpmath():
                 dlog[z] = mpmath.diff(lambda p: mpmath.log(mpmath.pcfd(p, z)), -q)
             for z1, z2 in pairs:
                 ref = mpmath.exp((z1 * z1 - z2 * z2) / 4) * mpmath.pcfd(-q, z1) / mpmath.pcfd(-q, z2)
-                if ref > 1e300:
+                if ref > 1e300:                 # near or past the double range
+                    if float(ref) == math.inf:
+                        with pytest.raises(ValueError, match="double range"):
+                            sf.parabolic_cylinder_D_ratio(-q, z1, z2)
                     continue
                 ratio, dlog_ratio = sf.parabolic_cylinder_D_ratio(-q, z1, z2)
                 if ref > 1e-300:
@@ -383,6 +343,10 @@ def test_parabolic_cylinder_ratio_domain():
         sf.parabolic_cylinder_D_ratio(-1.0, 1.0, -80.5)
     with pytest.raises(ValueError, match="z >= -80"):
         sf.parabolic_cylinder_D_ratio(-1.0, -80.5, -80.0)
+    # R itself past the double range (log R = 868, 757 and 1950)
+    for args in ((-100.0, -37.0, 0.0), (-1.0, -38.9, 0.0), (-1.0, -80.0, -50.0)):
+        with pytest.raises(ValueError, match="passes the double range"):
+            sf.parabolic_cylinder_D_ratio(*args)
 
 
 @pytest.mark.parametrize("y, s", [(37.0, 10.0), (37.0, 50.0), (5.0, 100.0)])
