@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import block_diag
 from scipy.special import loggamma
 
 from .ehrenfest import ChainParams, QuadratureError
@@ -26,6 +27,7 @@ from .specfun import (
     NonConvergenceError,
     parabolic_cylinder_D,  # unused here; the benchmark's tracer wraps this name
     parabolic_cylinder_D_complex_log,
+    parabolic_cylinder_D_complex_log_ratio,
     parabolic_cylinder_D_log,
     parabolic_cylinder_D_ratio,
     psi_a1_stream,
@@ -256,7 +258,7 @@ def f_cat_sym(d: DiffusionParams, x, y, t, ctl=DEFAULT_SERIES) -> float:
     Each term is positive and the tail is geometric in s, so the series
     is summable at the tolerances the library promises (the unrearranged
     form has an O(K^{-q}) tail, unusable in double precision).  Stops
-    after three consecutive terms below rel_tol * partial sum.
+    after three consecutive terms below rel_tol * partial sum, or equal to 0.
     """
     if d.beta != 0.0:
         raise ValueError("f_cat_sym requires beta = 0; use f_cat for general beta")
@@ -280,7 +282,7 @@ def f_cat_sym(d: DiffusionParams, x, y, t, ctl=DEFAULT_SERIES) -> float:
     for k in range(ctl.max_terms):
         term = coef * math.exp(lw + k * ls) * next(psi)
         total += term
-        if term < ctl.rel_tol * total:
+        if term <= ctl.rel_tol * total:  # the terms carry e^{-x^2/(nu s)}, 0 past x^2/(nu s) ~ 745
             small += 1
             if small >= 3:
                 return free_part + pref * total
@@ -356,8 +358,7 @@ def fpt_laplace_free(d: DiffusionParams, y, s):
     _check_start(y)
     expo, z_num, z_den = _fpt_free_args(d, y)
     if np.iscomplexobj(s):
-        lnum, lden = parabolic_cylinder_D_complex_log(-s / d.alpha, (z_num, z_den))
-        return np.exp(expo + lnum - lden)
+        return np.exp(expo + parabolic_cylinder_D_complex_log_ratio(-s / d.alpha, z_num, z_den))
     if not s > 0.0:
         raise ValueError(f"the transform needs s > 0, got {s}")
     return parabolic_cylinder_D_ratio(-s / d.alpha, z_num, z_den)[0]
@@ -429,15 +430,12 @@ def fpt_laplace_cat(d: DiffusionParams, y, s):
     """Laplace transform of the reset first-passage density:
     s/(s+xi) * gfree_{s+xi} + xi/(s+xi)."""
     _check_start(y)
-    return s / (s + d.xi) * fpt_laplace_free(d, y, s + d.xi) + d.xi / (s + d.xi)
+    return (s * fpt_laplace_free(d, y, s + d.xi) + d.xi) / (s + d.xi)
 
 
 def mean_fpt_cat(d: DiffusionParams, y) -> float:
     """Mean first-passage time through 0 with resets: (1 - gfree_xi)/xi."""
-    _check_start(y)
-    if not d.xi > 0.0:
-        raise ValueError("mean_fpt_cat requires xi > 0")
-    return (1.0 - fpt_laplace_free(d, y, d.xi)) / d.xi
+    return _fpt_cat_moments(d, y, "mean_fpt_cat")[0]
 
 
 def m2_fpt_cat(d: DiffusionParams, y) -> float:
@@ -450,17 +448,22 @@ def m2_fpt_cat(d: DiffusionParams, y) -> float:
     var_fpt_cat are within 1e-12 relative of mpmath at alpha = 1.2,
     nu = 0.001, y = 0.03, beta in {0, 0.004, -0.01}, xi in {0.05, 0.5, 5}.
     """
-    _check_start(y)
-    if not d.xi > 0.0:
-        raise ValueError("m2_fpt_cat requires xi > 0")
-    xi = d.xi
-    _, z_num, z_den = _fpt_free_args(d, y)
-    g, dlog = parabolic_cylinder_D_ratio(-xi / d.alpha, z_num, z_den)
-    return 2.0 / xi**2 * (1.0 - g - xi * g * dlog / d.alpha)
+    return _fpt_cat_moments(d, y, "m2_fpt_cat")[1]
 
 
 def var_fpt_cat(d: DiffusionParams, y) -> float:
-    return m2_fpt_cat(d, y) - mean_fpt_cat(d, y) ** 2
+    mean, m2 = _fpt_cat_moments(d, y, "var_fpt_cat")
+    return m2 - mean**2
+
+
+def _fpt_cat_moments(d: DiffusionParams, y, name):
+    """(mean, second moment) of the reset passage time, both from one parabolic_cylinder_D_ratio call."""
+    _check_start(y)
+    if not d.xi > 0.0:
+        raise ValueError(f"{name} requires xi > 0")
+    xi, (_, z_num, z_den) = d.xi, _fpt_free_args(d, y)
+    g, dlog = parabolic_cylinder_D_ratio(-xi / d.alpha, z_num, z_den)
+    return (1.0 - g) / xi, 2.0 / xi**2 * (1.0 - g - xi * g * dlog / d.alpha)
 
 
 # ----------------------------------------------------------------------
@@ -468,18 +471,17 @@ def var_fpt_cat(d: DiffusionParams, y) -> float:
 
 
 @functools.cache
-def _talbot_rule(M):
-    """t-free nodes sigma_k = t s_k and weights w_k of the M-node fixed Talbot rule.
-
-    f(t) ~ 2/(5t) Re sum_k w_k F(sigma_k / t); k = 0 is the real node 2M/5.
-    """
-    r = 2.0 * M / 5.0
-    theta = np.pi * np.arange(1, M) / M
-    cot = 1.0 / np.tan(theta)
-    sigma = r * np.concatenate([[1.0], theta * (cot + 1j)])
-    w = np.exp(sigma) * np.concatenate([[0.5], 1.0 + 1j * (theta * (1.0 + cot * cot) - cot)])
-    sigma.flags.writeable = w.flags.writeable = False  # cached: shared by every call
-    return sigma, w
+def _talbot_rule(*Ms):
+    """Nodes sigma_k = t s_k (first the real 2M/5) of the Talbot rules, M in Ms, and a row of weights per rule."""
+    sigma, w = [], []
+    for M in Ms:
+        theta = np.pi * np.arange(1, M) / M
+        cot = 1.0 / np.tan(theta)
+        sigma.append(2.0 * M / 5.0 * np.concatenate([[1.0], theta * (cot + 1j)]))
+        w.append(np.exp(sigma[-1]) * np.concatenate([[0.5], 1.0 + 1j * (theta * (1.0 + cot * cot) - cot)]))
+    sigma, weights = np.concatenate(sigma), block_diag(*w)
+    sigma.flags.writeable = weights.flags.writeable = False  # cached: shared by every call
+    return sigma, weights
 
 
 def talbot_invert(transform, t, n_nodes=16, check_rtol=1e-4, check_atol=1e-7) -> float:
@@ -503,20 +505,19 @@ def talbot_invert(transform, t, n_nodes=16, check_rtol=1e-4, check_atol=1e-7) ->
     a backward-equation oracle wherever the density exceeds 1e-2, and
     within 1.4e-8 absolute on all of [0.0147, 5.88]; at beta = 0, y = 0.06
     within 8.2e-8 relative of fpt_density_cat_sym.  One inversion of
-    fpt_laplace_cat, in one complex-order D_p call, takes about 95 us on a 2-core VM.
+    fpt_laplace_cat (one D_p ratio call) took 260 us on a loaded 2-core VM,
+    averaged over the 1,995 of the diffusion benchmark (the two-row route: 311 us).
     """
     if not t > 0.0:
         raise ValueError(f"talbot_invert needs t > 0, got {t}")
     if n_nodes < 12:
         raise ValueError(f"n_nodes too small: {n_nodes}")
     n_nodes, m_check = int(n_nodes), max(10, int(round(0.875 * n_nodes)))
-    s1, w1 = _talbot_rule(n_nodes)
-    s2, w2 = _talbot_rule(m_check)
-    values = np.asarray(transform(np.concatenate([s1, s2]) / t))
-    if values.shape != (n_nodes + m_check,):
-        raise ValueError(f"transform returned shape {values.shape} for {n_nodes + m_check} nodes")
-    f1 = 2.0 / (5.0 * t) * float((w1 * values[:n_nodes]).real.sum())
-    f2 = 2.0 / (5.0 * t) * float((w2 * values[n_nodes:]).real.sum())
+    sigma, weights = _talbot_rule(n_nodes, m_check)
+    values = np.asarray(transform(sigma / t))
+    if values.shape != sigma.shape:
+        raise ValueError(f"transform returned shape {values.shape} for {sigma.size} nodes")
+    f1, f2 = (2.0 / (5.0 * t) * (weights @ values).real).tolist()
     if abs(f1 - f2) > check_rtol * max(abs(f1), abs(f2)) + check_atol:
         raise NonConvergenceError(
             f"Talbot node counts {n_nodes} and {m_check} disagree "

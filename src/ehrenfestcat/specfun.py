@@ -8,15 +8,16 @@ law, stays for its tests and for benchmark/trace_targets.py.
 
 Real-order D_p has one route at every z: its positive-integrand
 integral representation, summed by a trapezoid rule on fixed nodes in
-log t, never by adaptive quadrature.  For contour inversion, log D_p
-takes an array of complex orders and a few real |z| <= 1.8 at once: the
-Kummer series where it does not cancel, from one coefficient matrix that
-serves every z, and a WKB expansion of D_p'/D_p where it does.
+log t, never by adaptive quadrature.  For contour inversion, log D_p and
+log D_p(z1)/D_p(z2) take complex orders and real |z| <= 1.8 through one
+core for log D_p(z) - log D_p(0): the Kummer series from one coefficient
+matrix for every z, or where it cancels one WKB pass of D_p'/D_p.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -132,6 +133,7 @@ def _f1_terms(a, mb, nc, d, x, y, one):
 #: Psi(1, 1/2-k; x) family converges too slowly at small k; the upward
 #: recurrence from the closed-form k = 0 value serves there instead
 PSI_A1_CF_SWITCH = 8.0
+PSI_A1_BLOCK = 64  #: terms per continued fraction where psi_a1_stream recurs downward
 
 
 def _psi_a1_cf(k, x):
@@ -162,34 +164,34 @@ def _psi_a1_cf(k, x):
 def psi_a1_stream(x):
     """Generator of Psi(1, 1/2 - k; x) for k = 0, 1, 2, ... and x > 0, O(1) per term.
 
-    The reset-density series of f_cat_sym runs k into the thousands.  Both
-    routes rest on Psi(1, 1/2-k; x) = e^x x^{k+1/2} Gamma(-k-1/2, x):
+    The reset-density series of f_cat_sym runs k into the thousands.  With
+    U_k = Psi(1, 1/2-k; x) = e^x x^{k+1/2} Gamma(-k-1/2, x), the recurrence
+    U_{k+1} = (1 - x U_k)/(k + 3/2) carries an error up by x/(k + 3/2) per
+    step, so it runs only in its stable direction (Gil, Segura & Temme 2007):
 
-    * x <= PSI_A1_CF_SWITCH: the incomplete-gamma recurrence
-      U_{k+1} = (1 - x U_k)/(k + 3/2), seeded by the closed form
-      Psi(1, 1/2; x) = 2 - 2 sqrt(pi x) erfcx(sqrt x), from Gamma(-1/2, x)
-      (DLMF 8.4); errors grow by x/(k + 3/2) per step only while k < x;
-    * larger x: the classical continued fraction, which collapses to
-      U_k = 1/(x + k + 3/2 - 1*(k+3/2)/(x + k + 7/2 - 2*(k+5/2)/...))
-      and converges in a few dozen iterations once x or k is sizable.
+    * x <= PSI_A1_CF_SWITCH: upward from U_0 = 2 - 2 sqrt(pi x) erfcx(sqrt x) (DLMF 8.4);
+    * larger x: downward while k + 1/2 <= x, each block of PSI_A1_BLOCK terms
+      from one continued fraction (_psi_a1_cf) at its top, then upward.
 
-    Within 3e-13 relative of mpmath.hyperu for x in [1e-4, 8] and
-    k <= 1000.
+    Within 3e-13 relative of mpmath.hyperu for x in [1e-4, 1e4] and k <= 1000.
     """
     if not x > 0.0:
         raise ValueError(f"psi_a1_stream requires x > 0, got {x}")
     if x <= PSI_A1_CF_SWITCH:
-        u = 2.0 - 2.0 * math.sqrt(math.pi * x) * erfcx(math.sqrt(x))
-        k = 0
-        while True:
-            yield u
-            u = (1.0 - x * u) / (k + 1.5)
-            k += 1
+        k, u = 0, 2.0 - 2.0 * math.sqrt(math.pi * x) * erfcx(math.sqrt(x))
     else:
-        k = 0
-        while True:
-            yield _psi_a1_cf(k, x)
-            k += 1
+        k_down = math.floor(x - 0.5)
+        for k in range(0, k_down + 1, PSI_A1_BLOCK):
+            top = min(k + PSI_A1_BLOCK - 1, k_down)
+            block = [_psi_a1_cf(top, x)]
+            for j in range(top, k, -1):
+                block.append((1.0 - (j + 0.5) * block[-1]) / x)
+            yield from reversed(block)
+        k, u = top + 1, (1.0 - x * block[0]) / (top + 1.5)
+    while True:
+        yield u
+        u = (1.0 - x * u) / (k + 1.5)
+        k += 1
 
 
 #: log of the largest double, 709.78
@@ -305,38 +307,44 @@ WKB_TERMS = 10
 def parabolic_cylinder_D_complex_log(p, z):
     """log D_p(z) for complex orders p (an array, or a scalar) and real z, |z| <= 1.8.
 
-    z is a scalar, or a short sequence with one row of the result each.
-    The two terms of the Kummer-series formula cancel by about
-    e^{2|z| Re sqrt(-p)}, and their gamma factors overflow at large |p|.
-    So a pair (p, z) with |p| >= 100 or |z| Re sqrt(-p) > 1.75 + 30/|p|
-    takes the WKB expansion of _dp_wkb_log, and the rest the series, whose
-    coefficient matrix and gamma factors serve every z (see _phi_rows).
-    No entry depends on the others: a row equals the call with its z
-    alone, bit for bit.  On the Talbot contours of the passage transform
-    (alpha = 1.2, xi = 0.5, t in [0.0147, 6]) this is within 3.2e-9
-    relative of mpmath.pcfd for |z| <= 1.8, worst near z = 1.8, t = 0.62,
-    where the series cancels most.  It raises ValueError beyond, where
-    moderate orders lose digits (8.5e-9 at z = 2.5, 2.5e-4 at 5).
+    log D_p(0) = (p/2) log 2 + (1/2) log pi - log Gamma((1-p)/2) plus the log
+    ratio to D_p(0); z is a scalar, or a sequence with one row each, equal bit for
+    bit to the call with its z alone.  On the Talbot contours of the passage
+    transform (alpha = 1.2, xi = 0.5, t in [0.0147, 6]) within 3.2e-9 relative of
+    mpmath.pcfd, worst near z = 1.8, t = 0.62, where the series cancels most; it
+    raises ValueError past |z| = 1.8, where moderate orders lose digits (2.5e-4 at 5).
     """
-    zs = np.atleast_1d(np.asarray(z, dtype=float))
+    q = np.asarray(p, dtype=complex)
+    log_d0 = q * (0.5 * math.log(2.0)) + 0.5 * math.log(math.pi) - loggamma((1.0 - q) / 2.0)
+    return log_d0 + parabolic_cylinder_D_complex_log_ratio(p, z, 0.0)
+
+
+def parabolic_cylinder_D_complex_log_ratio(p, z1, z2):
+    """log(D_p(z1) / D_p(z2)) for complex orders p and real |z1|, |z2| <= 1.8; z1 may be a sequence.
+
+    Each z gives B_p(z) = log D_p(z) - log D_p(0), so log D_p(0) is never
+    formed, and B_p(0) = 0 costs nothing.  The Kummer-series formula cancels
+    by about e^{2|z| Re sqrt(-p)}, and its gamma factors overflow at large |p|.
+    So (p, z) with |p| >= 100 or |z| Re sqrt(-p) > 1.75 + 30/|p| takes WKB (all
+    such pairs in one pass), and the rest one series matrix (see _phi_rows).
+    """
+    p, rows_of_z1 = np.asarray(p, dtype=complex), np.ndim(z1)
+    q, zs = p.ravel(), np.array((*z1, z2) if rows_of_z1 else (z1, z2), dtype=float)
     if np.abs(zs).max() > DP_COMPLEX_ZMAX:
-        raise ValueError(f"complex-order D_p is restricted to |z| <= {DP_COMPLEX_ZMAX}, got z={z}")
-    q = np.asarray(p, dtype=complex).ravel()
-    size = np.abs(q)
-    wkb = (size >= 100.0) | (np.abs(zs)[:, None] * np.sqrt(-q).real * size > 1.75 * size + 30.0)
-    out = np.empty(wkb.shape, dtype=complex)
-    rows = np.flatnonzero(~wkb.all(axis=0))
+        raise ValueError(f"complex-order D_p is restricted to |z| <= {DP_COMPLEX_ZMAX}, got z={zs}")
+    out, live, size = np.zeros((zs.size, q.size), dtype=complex), zs.nonzero()[0], np.abs(q)
+    wkb = (size >= 100.0) | (np.abs(zs[live, None]) * np.sqrt(-q).real * size > 1.75 * size + 30.0)
+    rows, cols = live[~wkb.all(axis=1)], (~wkb.all(axis=0)).nonzero()[0]
     if rows.size:
-        # 2^{p/2} e^{-x/2} sqrt(pi) [Phi(-p/2, 1/2; x) / Gamma((1-p)/2)
-        #                            - sqrt(2) z Phi((1-p)/2, 3/2; x) / Gamma(-p/2)],  x = z^2/2
-        x, a = zs * zs / 2.0, (np.array([[0.0], [1.0]]) - q[rows]) / 2.0
-        phi = _phi_rows(a, np.array([[0.5], [1.5]]), x, DEFAULT_SERIES)
-        lg = loggamma(a)
-        out[:, rows] = (0.5 * math.log(math.pi) - a[0] * math.log(2.0) - lg[1] - x[:, None] / 2.0
-                        + np.log(phi[:, 0] - math.sqrt(2.0) * zs[:, None] * np.exp(lg[1] - lg[0]) * phi[:, 1]))
-    for i in np.flatnonzero(wkb.any(axis=1)):
-        out[i, wkb[i]] = _dp_wkb_log(q[wkb[i]], zs[i])
-    return out.reshape(np.shape(z) + np.shape(p))[()]
+        # e^{-x/2} [Phi(-p/2, 1/2; x) - sqrt(2) z Gamma((1-p)/2)/Gamma(-p/2) Phi((1-p)/2, 3/2; x)],  x = z^2/2
+        zr = zs[rows, None]
+        x, a = zr * zr / 2.0, (np.array([[0.0], [1.0]]) - q[cols]) / 2.0
+        phi, lg = _phi_rows(a, np.array([[0.5], [1.5]]), x[:, 0], DEFAULT_SERIES), loggamma(a)
+        out[rows[:, None], cols] = -x / 2.0 + np.log(phi[:, 0] - math.sqrt(2.0) * zr * np.exp(lg[1] - lg[0]) * phi[:, 1])
+    if wkb.any():
+        i, k = np.nonzero(wkb)
+        out[live[i], k] = _dp_wkb_brackets(q, zs[live], wkb)
+    return (out[:-1] - out[-1]).reshape((zs.size - 1,) * rows_of_z1 + p.shape)[()]
 
 
 def _phi_rows(a, c, x, ctl):
@@ -349,11 +357,11 @@ def _phi_rows(a, c, x, ctl):
     converged once its last term is below rel_tol * |sum|; it keeps its
     value at the first column count where it did; the count doubles until all have.
     """
-    x, n_cols, phi, done = np.reshape(x, (-1,) + (1,) * np.ndim(a)), 32, 0.0, False
+    x, n_cols, phi, done = np.asarray(x).reshape((-1,) + (1,) * np.ndim(a)), 32, 0.0, False
     while True:
-        n = np.arange(float(n_cols)).reshape((-1,) + (1,) * np.ndim(a))
-        coef = np.cumprod((a + n) * (1.0 / ((c + n) * (n + 1.0))), axis=0)
-        terms = coef[:, None] * x ** (n[:, None] + 1.0)
+        n, n1, step = _kummer_steps(n_cols, np.shape(c), np.asarray(c, dtype=float).tobytes(), np.ndim(a))
+        coef = np.cumprod((a + n) * step, axis=0)
+        terms = coef[:, None] * x ** n1
         phi = np.where(done, phi, 1.0 + terms.sum(axis=0))
         done = done | (np.abs(terms[-1]) < ctl.rel_tol * np.abs(phi))
         if done.all():
@@ -361,6 +369,15 @@ def _phi_rows(a, c, x, ctl):
         if n_cols >= ctl.max_terms:
             raise NonConvergenceError(f"complex-order Kummer series exceeded {ctl.max_terms} terms (x={x.ravel()})")
         n_cols = min(2 * n_cols, ctl.max_terms)
+
+
+@functools.lru_cache(maxsize=16)
+def _kummer_steps(n_cols, c_shape, c_bytes, ndim):
+    """n < n_cols on a new axis 0 (and ndim more), n + 1 with one more, and 1/((c + n)(n + 1)); read-only."""
+    n = np.arange(float(n_cols)).reshape((-1,) + (1,) * ndim)
+    n1, step = n[:, None] + 1.0, 1.0 / ((np.frombuffer(c_bytes).reshape(c_shape) + n) * (n + 1.0))
+    n.flags.writeable = n1.flags.writeable = step.flags.writeable = False
+    return n, n1, step
 
 
 def _wkb_table(n_terms):
@@ -396,23 +413,27 @@ _WKB = _wkb_table(WKB_TERMS)
 _GL_X = np.array([0.14887433898163122, 0.4333953941292472, 0.6794095682990244, 0.8650633666889845, 0.9739065285171717])
 _GL_W = np.array([0.2955242247147528, 0.2692667193099965, 0.219086362515982, 0.1494513491505804, 0.06667134430868814])
 _GL_X, _GL_W = np.concatenate([-_GL_X[::-1], _GL_X]), np.concatenate([_GL_W[::-1], _GL_W])
+# k[n-2, i, j] = 0 unless i = n - 2j: the (n, j) terms times zg^(n-2j) = (z/2)^(n-2j) (x_g + 1)^(n-2j)
+_WKB_E = np.maximum(np.arange(2, WKB_TERMS + 1)[:, None, None] - 2 * np.arange(WKB_TERMS // 2 + 1), 0)
+_WKB_G = np.take_along_axis(_WKB, _WKB_E, axis=1) * (_GL_X[:, None] + 1.0) ** _WKB_E
 
 
-def _dp_wkb_log(p, z):
-    """log D_p(z) = log D_p(0) + int_0^z w, for a 1-D array of complex orders.
+def _dp_wkb_brackets(q, zs, pairs):
+    """B_p(z) = int_0^z w at the pairs (zs[i], q[k]) where pairs[i, k], in row-major order.
 
-    w_0 and w_1 integrate in closed form; w_2..w_WKB_TERMS by 10-point
-    Gauss-Legendre on [0, z].  Re sqrt(Q) > 0 all along the real axis, so
-    the expansion follows the recessive solution at every real z.
+    w_0 and w_1 integrate in closed form; w_2..w_WKB_TERMS by 10-point Gauss-Legendre
+    on [0, z], their polynomial coefficients by one matrix product per z.  Re sqrt(Q) > 0
+    on the real axis, so the expansion follows the recessive solution at every real z.
     """
-    c = -p - 0.5
-    zg = 0.5 * z * (_GL_X + 1.0)
-    Q = zg[:, None] ** 2 / 4.0 + c
+    i, k = np.nonzero(pairs)
+    z, c, c_pow = zs[i], -q[k] - 0.5, np.vander(-q - 0.5, WKB_TERMS // 2 + 1, increasing=True).T
+    a = np.concatenate([(_WKB_G * (0.5 * zi) ** _WKB_E).reshape(-1, _WKB_E.shape[-1]) @ c_pow[:, on]
+                        for zi, on in zip(zs, pairs) if on.any()], axis=-1).reshape(_WKB_G.shape[:2] + (-1,))
+    zg = 0.5 * z * (_GL_X[:, None] + 1.0)
+    Q = zg**2 / 4.0 + c
     sQ = np.sqrt(Q)
     P = 1.0 / (Q * sQ)
-    a = np.vander(zg, WKB_TERMS + 1, increasing=True) @ _WKB @ np.vander(c, WKB_TERMS // 2 + 1, increasing=True).T
     higher = sQ * (a * np.cumprod(np.broadcast_to(P, a.shape), axis=0) * P).sum(axis=0)
     s = np.sqrt(z * z / 4.0 + c)
-    return (p * (0.5 * math.log(2.0)) + 0.5 * math.log(math.pi) - loggamma((1.0 - p) / 2.0)
-            - z / 2.0 * s - c * np.log((z / 2.0 + s) / np.sqrt(c)) - 0.25 * np.log1p(z * z / (4.0 * c))
+    return (-z / 2.0 * s - c * np.log((z / 2.0 + s) / np.sqrt(c)) - 0.25 * np.log1p(z * z / (4.0 * c))
             + 0.5 * z * (_GL_W @ higher))

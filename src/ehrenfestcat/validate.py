@@ -82,14 +82,17 @@ def suite_specfun(tol):
             worst = max(worst, abs(lhs) / abs(sf.parabolic_cylinder_D(p, z)))
     checks.append(CheckResult("cylinder-D recurrence", worst <= 1e-9, f"rel {worst:.2e}"))
 
-    # complex-order log D_p (series or WKB) at real orders vs the real-order rule, |z| <= 1.8
-    worst = 0.0
+    # complex-order log D_p (series or WKB) and log D_p(z)/D_p(-0.45) at real orders vs the rule's, |z| <= 1.8
+    worst = worst_ratio = 0.0
     for p in (-0.4, -2.0, -7.5, -40.0, -150.0):
         for z in (-1.8, -0.9, 0.0, 0.8, 1.8):
             got = sf.parabolic_cylinder_D_complex_log(complex(p), z)
             worst = max(worst, abs(got - sf.parabolic_cylinder_D_log(p, z)))
+            got = sf.parabolic_cylinder_D_complex_log_ratio(complex(p), z, -0.45) + (z * z - 0.2025) / 4.0
+            worst_ratio = max(worst_ratio, abs(got - math.log(sf.parabolic_cylinder_D_ratio(p, z, -0.45)[0])))
     checks.append(CheckResult("complex-order cylinder-D vs real order", worst <= 1e-9,
                               f"abs log {worst:.2e}"))
+    checks.append(CheckResult("complex-order cylinder-D ratio vs real order", worst_ratio <= 1e-9, f"abs log {worst_ratio:.2e}"))
 
     # Psi(1, 1/2 - k; x): its recurrence side vs its continued-fraction side at the switch
     x = sf.PSI_A1_CF_SWITCH

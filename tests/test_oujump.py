@@ -203,6 +203,39 @@ def test_f_cat_sym_even_in_x_from_origin():
         )
 
 
+@pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
+def test_f_cat_sym_far_tail_vs_f_cat(t):
+    # the Psi arguments x^2/(nu s) from 50, the top of the diffusion
+    # benchmark's grid, to the thousands: below x^2/(nu s) = x it runs the
+    # Psi recurrence downward from one continued fraction per block, above
+    # it upward.  y = -x keeps the free part below the reset part.  Past
+    # about 745 the reset part underflows: the series stops at its zero
+    # terms and returns the free part, 0 here, as f_cat does
+    s = -math.expm1(-2.0 * D_SYM.alpha * t)
+    for w in (50.0, 200.0, 600.0, 2000.0, 5000.0):
+        x = math.sqrt(w * D_SYM.nu * s)
+        got = ou.f_cat_sym(D_SYM, x, -x, t)
+        want = ou.f_cat(D_SYM, x, -x, t, tol=1e-12 * got if got else 1e-300)
+        assert got == pytest.approx(want, rel=1e-10, abs=0), w
+        assert (got == 0.0) == (w > 745.0), w
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.004, -0.01])
+@pytest.mark.parametrize("xi", [0.05, 0.5, 5.0])
+def test_var_fpt_is_m2_minus_mean_squared_from_one_ratio_call(beta, xi, monkeypatch):
+    d = ou.DiffusionParams(alpha=1.2, beta=beta, nu=0.001, xi=xi)
+    want = ou.m2_fpt_cat(d, 0.03) - ou.mean_fpt_cat(d, 0.03) ** 2
+    calls = []
+
+    def counted(p, z1, z2):
+        calls.append(p)
+        return sf.parabolic_cylinder_D_ratio(p, z1, z2)
+
+    monkeypatch.setattr(ou, "parabolic_cylinder_D_ratio", counted)
+    assert ou.var_fpt_cat(d, 0.03) == want
+    assert calls == [-xi / 1.2]
+
+
 def test_f_cat_sym_domain():
     with pytest.raises(ValueError):
         ou.f_cat_sym(D_BETA, 0.01, 0.0, 1.0)  # beta != 0
@@ -494,24 +527,30 @@ def test_laplace_forms_take_complex_scalars_and_node_arrays(beta):
 
 
 def test_laplace_forms_make_one_complex_cylinder_call(monkeypatch):
-    # one complex-order D_p call serves both cylinder arguments of a form
+    # one complex-order D_p call serves both cylinder arguments of a form;
+    # the passage transforms take the ratio entry point, which skips log D_p(0)
     calls = []
 
     def counted(p, z):
-        calls.append(np.shape(z))
+        calls.append(("log", np.shape(z)))
         return sf.parabolic_cylinder_D_complex_log(p, z)
 
+    def counted_ratio(p, z1, z2):
+        calls.append(("ratio", np.shape(z1) + np.shape(z2)))
+        return sf.parabolic_cylinder_D_complex_log_ratio(p, z1, z2)
+
     monkeypatch.setattr(ou, "parabolic_cylinder_D_complex_log", counted)
+    monkeypatch.setattr(ou, "parabolic_cylinder_D_complex_log_ratio", counted_ratio)
     s = np.array([3.0 + 0.0j, 2.0 + 5.0j, -4.0 + 9.0j, -30.0 + 40.0j])
-    forms = [(lambda s: ou.f_free_laplace(D_BETA, 0.01, 0.03, s), (2,)),
-             (lambda s: ou.fpt_laplace_free(D_BETA, 0.03, s), (2,)),
-             (lambda s: ou.fpt_laplace_cat(D_BETA, 0.03, s), (2,)),
-             (lambda s: ou.fpt_laplace_free_sym(D_SYM, 0.03, s), ())]
-    for form, z_shape in forms:
+    forms = [(lambda s: ou.f_free_laplace(D_BETA, 0.01, 0.03, s), ("log", (2,))),
+             (lambda s: ou.fpt_laplace_free(D_BETA, 0.03, s), ("ratio", ())),
+             (lambda s: ou.fpt_laplace_cat(D_BETA, 0.03, s), ("ratio", ())),
+             (lambda s: ou.fpt_laplace_free_sym(D_SYM, 0.03, s), ("log", ()))]
+    for form, call in forms:
         for arg in (s, complex(s[1])):
             calls.clear()
             form(arg)
-            assert calls == [z_shape]
+            assert calls == [call]
 
 
 def test_talbot_rejects_bad_input():

@@ -140,14 +140,19 @@ def test_kummer_psi_a1_continued_fraction(k, w):
     assert nxt == pytest.approx((1.0 - w * got) / (k + 1.5), rel=1e-9)
 
 
-@pytest.mark.parametrize("x", [1e-4, 0.3, 3.0, 7.9])
+@pytest.mark.parametrize("x", [1e-4, 0.3, 3.0, 7.9, 8.5, 14.0, 50.0, 200.0, 1e4])
 def test_psi_a1_stream_vs_mpmath(x):
     # up to x = PSI_A1_CF_SWITCH the recurrence from the closed-form seed
-    # at k = 0 serves; it amplifies the seed's error by about 120 at k = 5
+    # at k = 0 serves; it amplifies the seed's error by about 120 at k = 5.
+    # Past it, blocks of PSI_A1_BLOCK terms run down from one continued
+    # fraction each while k + 1/2 <= x, and the recurrence runs up after.
+    # mpmath.hyperu needs 60 digits here: at 30 or 40 it is off by 6e-11
+    # at (k, x) = (199, 50) and by 1e106 at (500, 200)
     stream = sf.psi_a1_stream(x)
     values = [next(stream) for _ in range(1001)]
-    with mpmath.workdps(30):
-        for k in (0, 1, 5, 20, 100, 1000):
+    ks = {0, 1, 5, 20, 63, 64, 65, 100, 1000, int(x) - 1, int(x), int(x) + 1}
+    with mpmath.workdps(60):
+        for k in sorted(ks & set(range(1001))):
             ref = float(mpmath.hyperu(1, 0.5 - k, x))
             assert values[k] == pytest.approx(ref, rel=1e-12, abs=0), k
 
@@ -274,6 +279,22 @@ def test_parabolic_cylinder_complex_array_vs_mpmath(t):
             # relative error of D_p, in logs because D_p overflows at small t
             # (the logs may differ by 2 pi i k); measured at most 3.3e-10
             assert np.max(np.abs(np.expm1(row - _log_pcfd(p, z)))) < 1e-9, (beta, z)
+
+
+@pytest.mark.parametrize("t", [0.0295, 0.5, 0.9, 2.0])
+def test_parabolic_cylinder_complex_ratio_vs_mpmath(t):
+    # D_p(z_num)/D_p(z_den) of the passage transform, on the Talbot contours
+    # of time t, at the five benchmark beta: WKB only (t = 0.0295), both
+    # routes (0.5, 0.9) and the series only (2); z_den = 0 at beta = 0
+    p = _contour_orders(t)
+    sq = math.sqrt(2.0 / 0.001)
+    for beta in (0.0, 0.004, -0.004, 0.01, -0.01):
+        z_num, z_den = (0.03 - beta) * sq, -beta * sq
+        got = sf.parabolic_cylinder_D_complex_log_ratio(p, z_num, z_den)
+        assert got.shape == p.shape
+        want = _log_pcfd(p, z_num) - _log_pcfd(p, z_den)
+        assert np.max(np.abs(np.expm1(got - want))) < 1e-9, beta
+    assert sf.parabolic_cylinder_D_complex_log_ratio(p[4], z_num, z_den) == got[4]
 
 
 @pytest.mark.parametrize("t", [0.0295, 0.5, 2.0])
