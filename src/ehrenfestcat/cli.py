@@ -12,6 +12,7 @@ failure, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -43,13 +44,12 @@ def write_csv(path, params, columns):
     """CSV with `# key = value` metadata lines, then a header row and data."""
     names = list(columns)
     cols = [np.atleast_1d(np.asarray(columns[c], dtype=float)) for c in names]
-    n_rows = len(cols[0])
     lines = [f"# ehrenfestcat {__version__}"]
     for key, value in params.items():
         lines.append(f"# {key} = {value}")
     lines.append(",".join(names))
-    for r in range(n_rows):
-        lines.append(",".join(_fmt(col[r]) for col in cols))
+    row_fmt = ",".join(["%.17g"] * len(cols))   # the same digits as _fmt, per row
+    lines.extend(row_fmt % row for row in zip(*(col.tolist() for col in cols), strict=True))
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -379,6 +379,7 @@ def _add_diffusion_args(sp):
     sp.add_argument("--xi", type=float, default=0.0)
 
 
+@functools.cache
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="ehrenfestcat",

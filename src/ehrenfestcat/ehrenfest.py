@@ -8,10 +8,9 @@ with catastrophes in closed form, exact moments, first-passage-time
 quantities, and three independent evaluation routes (closed form,
 renewal quadrature, Kolmogorov ODE) that are cross-checked in the tests.
 
-The free rows accumulate their products of binomials and rate powers in
-log space, since they mix terms spanning many orders of magnitude already
-at N = 10; the renewal tail is a tridiagonal solve that adds only
-positive terms.
+The free rows convolve the two binomial laws, each exponentiated from its
+log pmf, as sums of positive products; the renewal tail and the passage
+moments are tridiagonal solves whose every step adds positive terms.
 """
 
 from __future__ import annotations
@@ -242,24 +241,12 @@ def _lchoose_row(n: int) -> np.ndarray:
     )
 
 
-@lru_cache(maxsize=512)
-def _free_tables(N: int, j: int):
-    """Index grids and log binomials for the free transition row at start j."""
-    n = np.arange(-N, N + 1)[:, None]          # target states
-    i = np.arange(0, N + j + 1)[None, :]       # first binomial count
-    valid = (i >= np.maximum(0, j + n)) & (i <= np.minimum(N + n, N + j))
-    lc1 = _lchoose_row(N + j)[None, :]
-    # C(N - j, N + n - i); clamp the index where invalid
-    idx = np.clip(N + n - i, 0, N - j)
-    lc2 = _lchoose_row(N - j)[idx]
-    return n, i, valid, lc1 + lc2
-
-
 def p_free_row(p: ChainParams, j, t) -> ProbVector:
     """Transition law of the catastrophe-free chain at time t, started at j.
 
-    Convolution of two binomials with success probabilities b1(t), b2(t);
-    each entry is a log-space sum of positive terms (see _free_rows).
+    Convolution of Binomial(N+j, b1(t)) and Binomial(N-j, b2(t)), the
+    counts of up particles among those that start up and down; each entry
+    is a sum of positive products (see _free_rows).
     """
     j = p.check_state(j, "j")
     return ProbVector(p.N, _free_rows(p, j, _check_times([t]))[0])
@@ -275,44 +262,42 @@ def _check_times(grid) -> np.ndarray:
     return times
 
 
-#: float64 elements allowed in the largest temporary of one time slice
-#: (256 KB); the grid routines walk longer grids slice by slice, which
-#: keeps the peak memory of a 400-point grid at N = 10 near that of one row
-_SLICE_ELEMENTS = 1 << 15
-
-
-def _time_slices(n_times, per_time):
-    """Slices of a time axis whose temporaries hold per_time elements per time."""
-    step = max(1, _SLICE_ELEMENTS // per_time)
-    return [slice(k, k + step) for k in range(0, n_times, step)]
-
-
 def _free_rows(p: ChainParams, j: int, times: np.ndarray) -> np.ndarray:
     """p_free_row(p, j, t) for every t of a checked grid, as a (time, state) array.
 
     With e = e^{-(lam+mu) t}, the binomial weights are
     b1 = (lam + mu e)/d, 1 - b1 = mu (1-e)/d, b2 = lam (1-e)/d and
-    1 - b2 = (mu + lam e)/d, so each log term is a time-free part plus
-    three time parts.  Rows at t = 0 are the exact initial vector.
+    1 - b2 = (mu + lam e)/d.  Each binomial law is exponentiated from its
+    log pmf (O(N) exp per time), and entry n is the sum over the shorter
+    law's counts k of the positive products short[k] long[N+n-k], taken as
+    one dot product per (time, state) over a sliding window of the longer
+    law padded with zeros.  Rows at t = 0 are the exact initial vector.
     """
     N, lam, mu = p.N, p.lam, p.mu
-    d = lam + mu
-    n, i, valid, lcomb = _free_tables(N, j)
-    fixed = np.where(valid, lcomb + (N + j - i) * math.log(mu) + (N + n - i) * math.log(lam)
-                     - 2 * N * math.log(d), -np.inf)
     out = np.zeros((times.size, 2 * N + 1))
     out[times == 0.0, j + N] = 1.0
     live = np.flatnonzero(times > 0.0)
-    for sl in _time_slices(live.size, fixed.size):
-        dt = d * times[live[sl], None, None]
-        e = np.exp(-dt)
-        logs = (2 * N + j + n - 2 * i) * np.log(-np.expm1(-dt))
-        logs += fixed
-        logs += (i - j - n) * np.log(mu + lam * e)
-        logs += i * np.log(lam + mu * e)
-        m = logs.max(axis=-1, keepdims=True)
-        out[live[sl]] = np.exp(m[..., 0]) * np.exp(logs - m, out=logs).sum(axis=-1)
+    if live.size == 0:
+        return out
+    ld = math.log(lam + mu)
+    dt = (lam + mu) * times[live, None]
+    e = np.exp(-dt)
+    lgone = np.log(-np.expm1(-dt)) - ld               # log((1 - e)/d)
+    up = _binomial_pmf(N + j, np.log(lam + mu * e) - ld, math.log(mu) + lgone)
+    down = _binomial_pmf(N - j, math.log(lam) + lgone, np.log(mu + lam * e) - ld)
+    short, long_ = (up, down) if N + j <= N - j else (down, up)
+    pad = short.shape[1] - 1
+    padded = np.zeros((live.size, long_.shape[1] + 2 * pad))
+    padded[:, pad:pad + long_.shape[1]] = long_
+    windows = np.lib.stride_tricks.sliding_window_view(padded, pad + 1, axis=1)
+    out[live] = np.einsum("tnk,tk->tn", windows, np.ascontiguousarray(short[:, ::-1]))
     return out
+
+
+def _binomial_pmf(size: int, log_b: np.ndarray, log_1mb: np.ndarray) -> np.ndarray:
+    """Binomial(size, b) pmf at counts 0..size per time, from (time, 1) log b and log(1-b)."""
+    k = np.arange(size + 1)
+    return np.exp(_lchoose_row(size) + k * log_b + (size - k) * log_1mb)
 
 
 def q_free_row(p: ChainParams) -> ProbVector:
@@ -633,37 +618,47 @@ def fpt_density_cat_curve(p: ChainParams, j, grid) -> Curve:
 def fpt_moments_linear(p: ChainParams, j) -> tuple[float, float]:
     """Mean and second moment of the first-passage time to 0, by linear solves.
 
-    State 0 is made absorbing (catastrophe flow included in the
-    absorption), the sub-generator Q0 on the remaining 2N states is
-    assembled, and Q0 m = -1, Q0 w = -2m are solved by dense LU.  Works
-    for any lam, mu, xi >= 0, unlike the density route.
+    The chain is skip-free, so from j it reaches the other side only
+    through 0, and only the N states i = |n| = 1..N on j's side count.
+    With 0 absorbing (catastrophes included), the moments solve A m = 1
+    and A w = 2m, where A is a tridiagonal M-matrix with killing rate xi,
+    rate toward_i to i-1 and away_i to i+1 (away_N = 0).  Elimination
+    from the far end takes the subtraction-free pivots of _renewal_tail:
+    s_N = xi, s_i = xi + away_i s_{i+1}/d_{i+1} and d_i = s_i + toward_i,
+    and both substitutions add only positive terms.  Works for any lam,
+    mu and xi >= 0, unlike the density route; within 1e-13 relative of an
+    exact rational solve over N <= 160, lam/mu from 0.01 to 100, xi from 0
+    to 5 and j in {+-1, +-N}.  Raises ValueError where a moment passes the
+    double range (a drift away from 0 at xi = 0 and large N).
     """
     j = p.check_state(j, "j")
     if j == 0:
         raise ValueError("first-passage time from j = 0 is degenerate")
     N, lam, mu, xi = p.N, p.lam, p.mu, p.xi
-    others = [k for k in range(-N, N + 1) if k != 0]
-    index = {k: r for r, k in enumerate(others)}
-    Q0 = np.zeros((2 * N, 2 * N))
-    for k in others:
-        r = index[k]
-        total = 0.0
-        if k < N:
-            total += lam * (N - k)
-            if k + 1 != 0:
-                Q0[r, index[k + 1]] += lam * (N - k)
-        if k > -N:
-            total += mu * (N + k)
-            if k - 1 != 0:
-                Q0[r, index[k - 1]] += mu * (N + k)
-        total += xi
-        Q0[r, r] -= total
-    try:
-        m = np.linalg.solve(Q0, -np.ones(2 * N))
-        w = np.linalg.solve(Q0, -2.0 * m)
-    except np.linalg.LinAlgError as exc:  # absorption is certain; defensive only
-        raise RuntimeError(f"singular sub-generator in FPT solve: {exc}") from exc
-    return float(m[index[j]]), float(w[index[j]])
+    toward = [(mu if j > 0 else lam) * (N + i) for i in range(N + 1)]
+    away = [(lam if j > 0 else mu) * (N - i) for i in range(N + 1)]
+    d, sigma = [1.0] * (N + 2), 0.0        # index N + 1: a dummy with no flow
+    for i in range(N, 0, -1):
+        sigma = xi + away[i] * sigma / d[i + 1]
+        d[i] = sigma + toward[i]
+
+    def solve(b):
+        c = [0.0] * (N + 2)
+        for i in range(N, 0, -1):
+            c[i] = b[i] + away[i] * c[i + 1] / d[i + 1]
+        x = [0.0] * (N + 1)                # x[0] = 0: state 0 absorbs
+        for i in range(1, N + 1):
+            x[i] = (c[i] + toward[i] * x[i - 1]) / d[i]
+        return x
+
+    m = solve([1.0] * (N + 1))
+    w = solve([2.0 * v for v in m])
+    mean, m2 = m[abs(j)], w[abs(j)]
+    if not (math.isfinite(mean) and math.isfinite(m2)):
+        raise ValueError(
+            f"the passage moments from j={j} pass the double range at N={N}, "
+            f"lam={lam}, mu={mu}, xi={xi}")
+    return mean, m2
 
 
 def default_time_grid(p: ChainParams, n_points=400, horizon=None) -> np.ndarray:

@@ -255,10 +255,11 @@ def f_cat_sym(d: DiffusionParams, x, y, t, ctl=DEFAULT_SERIES) -> float:
         + xi/(2 alpha sqrt(pi nu)) sum_{k>=0} (-1)^k C(q-1,k) s^{k+1/2}
               e^{-x^2/(nu s)} Psi(1, 1/2-k; x^2/(nu s)),   s = 1-e^{-2 alpha t}.
 
-    Each term is positive and the tail is geometric in s, so the series
-    is summable at the tolerances the library promises (the unrearranged
+    Each term is positive and shrinks by at least s from one to the next,
+    so the tail after a term is at most term * s/(1-s) (the unrearranged
     form has an O(K^{-q}) tail, unusable in double precision).  Stops
-    after three consecutive terms below rel_tol * partial sum, or equal to 0.
+    after three consecutive terms whose tail bound term/(1-s) is below
+    rel_tol * partial sum, or that equal 0.
     """
     if d.beta != 0.0:
         raise ValueError("f_cat_sym requires beta = 0; use f_cat for general beta")
@@ -275,6 +276,7 @@ def f_cat_sym(d: DiffusionParams, x, y, t, ctl=DEFAULT_SERIES) -> float:
     pref = xi / (2.0 * alpha * math.sqrt(math.pi * nu))
     ls = math.log(s)
     lw = -ws + 0.5 * ls
+    stop = ctl.rel_tol * math.exp(-2.0 * alpha * t)  # rel_tol * (1 - s)
     coef = 1.0  # (-1)^k C(q-1, k) = prod_{i<=k} (i-q)/i, positive for 0<q<1
     total = 0.0
     small = 0
@@ -282,7 +284,7 @@ def f_cat_sym(d: DiffusionParams, x, y, t, ctl=DEFAULT_SERIES) -> float:
     for k in range(ctl.max_terms):
         term = coef * math.exp(lw + k * ls) * next(psi)
         total += term
-        if term <= ctl.rel_tol * total:  # the terms carry e^{-x^2/(nu s)}, 0 past x^2/(nu s) ~ 745
+        if term <= stop * total:  # the terms carry e^{-x^2/(nu s)}, 0 past x^2/(nu s) ~ 745
             small += 1
             if small >= 3:
                 return free_part + pref * total

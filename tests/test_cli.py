@@ -150,3 +150,21 @@ def test_seventeen_digit_round_trip(tmp_path):
     p = eh.ChainParams(N=10, lam=0.6, mu=0.2, xi=0.5)
     exact = eh.q_cat_row(p).values
     assert np.array_equal(rows[:, 1], exact)  # %.17g is lossless for doubles
+
+
+def test_write_csv_bytes_equal_per_value_format(tmp_path):
+    # one row format over the tolist() values gives the bytes of
+    # f"{x:.17g}" per value, at the values where float formats differ most
+    values = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072009e-308,
+              1.0, -3.0, 1e16, 2.0**53 + 2.0, 1e17, 123456789.0, 0.1, 1.0 / 3.0,
+              1.7976931348623157e308, -2.5e-310]
+    cols = {"a": values, "b": values[::-1], "c": np.arange(len(values))}
+    out = cli.write_csv(str(tmp_path / "v.csv"), {"k": 1}, cols)
+    body = "\n".join(",".join(f"{float(x):.17g}" for x in row)
+                     for row in zip(values, values[::-1], range(len(values))))
+    want = f"# ehrenfestcat {ehrenfestcat.__version__}\n# k = 1\na,b,c\n{body}\n"
+    assert Path(out).read_bytes() == want.encode()
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()

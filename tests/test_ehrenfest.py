@@ -1,6 +1,9 @@
 """Chain-law checks: closed forms against quadrature, ODE and summation oracles."""
 
 import math
+import sys
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -173,6 +176,34 @@ def test_free_moments_endpoints():
     assert eh.var_free(p, 6, 0.0) == 0.0
     lim = p.N * (p.lam - p.mu) / (p.lam + p.mu)
     assert eh.mean_free(p, 6, 1e3) == pytest.approx(lim)
+
+
+@pytest.mark.parametrize("N", [1, 20, 160])
+def test_p_free_row_vs_mpmath_convolution(N):
+    # the corners of the free rows' region: both rate orders far apart and
+    # equal, starts at both ends and between, short and long times; the
+    # reference convolves the two binomial laws in 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    for lam, mu in ((0.02, 2.0), (2.0, 0.02), (0.6, 0.6)):
+        p = eh.ChainParams(N=N, lam=lam, mu=mu)
+        for j in sorted({-N, 0, N // 2, N}):
+            for t in (1e-3, 0.3, 10.0):
+                with mpmath.workdps(40):
+                    lm, mm, tm = map(mpmath.mpf, (lam, mu, t))
+                    e = mpmath.exp(-(lm + mm) * tm)
+                    b1, b2 = (lm + mm * e) / (lm + mm), lm * (1 - e) / (lm + mm)
+                    up = [mpmath.binomial(N + j, i) * b1**i * (1 - b1) ** (N + j - i)
+                          for i in range(N + j + 1)]
+                    down = [mpmath.binomial(N - j, k) * b2**k * (1 - b2) ** (N - j - k)
+                            for k in range(N - j + 1)]
+                    want = [mpmath.mpf(0)] * (2 * N + 1)
+                    for i, u in enumerate(up):
+                        for k, v in enumerate(down):
+                            want[i + k] += u * v
+                    want = np.array([float(w) for w in want])
+                got = eh.p_free_row(p, j, t).values
+                keep = want > 1e-290
+                assert got[keep] == pytest.approx(want[keep], rel=1e-12, abs=0), (lam, mu, j, t)
 
 
 # ----------------------------------------------------------------------
@@ -350,7 +381,7 @@ def test_p_cat_closed_rows_equal_single_rows():
 
 
 def test_p_cat_closed_rows_long_grid_at_n80():
-    # 400 times at N = 80 run in several slices; spot rows against the
+    # 400 times at N = 80 in one call; spot rows against the
     # one-time route and against expm
     p = eh.ChainParams(N=80, lam=0.9, mu=0.3, xi=0.5)
     grid = np.linspace(0.0, 10.0, 400)
@@ -360,6 +391,22 @@ def test_p_cat_closed_rows_long_grid_at_n80():
         assert np.array_equal(rows[k].values, eh.p_cat_closed_row(p, 40, grid[k]).values)
         law = expm(Q.T * grid[k])[:, 40 + 80]
         assert rows[k].values == pytest.approx(law, rel=0, abs=1e-12)
+
+
+def test_p_cat_closed_rows_memory_at_n160():
+    # 400 times at N = 160 in one call: no temporary of (time, state,
+    # count) size, which would be about 250 MB here
+    p = eh.ChainParams(N=160, lam=0.9, mu=0.3, xi=0.5)
+    grid = np.linspace(0.0, 10.0, 400)
+    eh.p_cat_closed_rows(p, 80, grid[:2])  # fill the caches outside the trace
+    tracemalloc.start()
+    try:
+        rows = eh.p_cat_closed_rows(p, 80, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == grid.size
+    assert peak < 16 * 2**20, peak
 
 
 # ----------------------------------------------------------------------
@@ -512,3 +559,53 @@ def test_fpt_moments_linear_vs_density_quadrature():
 def test_fpt_moments_linear_asymmetric_rates_work():
     m, w = eh.fpt_moments_linear(P_ASYM, 3)
     assert m > 0.0 and w > m * m  # positive mean, positive variance
+
+
+def _passage_moments_exact(N, lam, mu, xi, side):
+    """Mean and second moment of the passage to 0 from every state on one side, exactly.
+
+    The rates as the decimals they are written in; state i = |n| = 1..N
+    leaves toward 0 at tw_i, away at aw_i and to 0 at xi.  Thomas
+    elimination from state 1 in rational arithmetic.
+    """
+    lam, mu, xi = Fraction(str(lam)), Fraction(str(mu)), Fraction(str(xi))
+    tw = [(mu if side > 0 else lam) * (N + i) for i in range(N + 1)]
+    aw = [(lam if side > 0 else mu) * (N - i) for i in range(N + 1)]
+
+    def solve(b):
+        up, rhs = [Fraction(0)] * (N + 1), [Fraction(0)] * (N + 1)
+        for i in range(1, N + 1):
+            diag = tw[i] + aw[i] + xi - tw[i] * up[i - 1]
+            up[i] = aw[i] / diag
+            rhs[i] = (b[i] + tw[i] * rhs[i - 1]) / diag
+        x = [Fraction(0)] * (N + 2)
+        for i in range(N, 0, -1):
+            x[i] = rhs[i] + up[i] * x[i + 1]
+        return x
+
+    m = solve([Fraction(1)] * (N + 1))
+    return m, solve([2 * v for v in m])
+
+
+@pytest.mark.parametrize("N", [1, 10, 80, 160])
+def test_fpt_moments_linear_vs_exact_rational_solve(N):
+    # lam/mu from 0.01 to 100 and xi down to 0: a drift away from 0 makes
+    # the moments grow like (lam/mu)^N, and past the double range the
+    # route raises (the second moment at N = 160, lam/mu = 100, xi = 0)
+    top = Fraction(sys.float_info.max)
+    raised = 0
+    for lam, mu in ((0.01, 1.0), (1.0, 1.0), (3.0, 1.0), (100.0, 1.0)):
+        for xi in (0.0, 0.01, 0.5, 5.0):
+            p = eh.ChainParams(N=N, lam=lam, mu=mu, xi=xi)
+            for side in (1, -1):
+                m, w = _passage_moments_exact(N, lam, mu, xi, side)
+                for j in (side, side * N):
+                    if max(m[abs(j)], w[abs(j)]) > top:
+                        with pytest.raises(ValueError, match="double range"):
+                            eh.fpt_moments_linear(p, j)
+                        raised += 1
+                        continue
+                    got = eh.fpt_moments_linear(p, j)
+                    assert got == pytest.approx((float(m[abs(j)]), float(w[abs(j)])),
+                                                rel=1e-13, abs=0), (lam, mu, xi, j)
+    assert raised == (4 if N == 160 else 0)

@@ -203,7 +203,7 @@ def test_f_cat_sym_even_in_x_from_origin():
         )
 
 
-@pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize("t", [0.1, 0.5, 1.0, 2.0])
 def test_f_cat_sym_far_tail_vs_f_cat(t):
     # the Psi arguments x^2/(nu s) from 50, the top of the diffusion
     # benchmark's grid, to the thousands: below x^2/(nu s) = x it runs the
@@ -218,6 +218,32 @@ def test_f_cat_sym_far_tail_vs_f_cat(t):
         want = ou.f_cat(D_SYM, x, -x, t, tol=1e-12 * got if got else 1e-300)
         assert got == pytest.approx(want, rel=1e-10, abs=0), w
         assert (got == 0.0) == (w > 745.0), w
+
+
+@pytest.mark.parametrize("t", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("x", [0.02, 0.06])
+def test_f_cat_sym_vs_mpmath_renewal_integral(x, t):
+    # the series is geometric in s = 1 - e^{-2 alpha t}: s = 0.91, 0.99 and
+    # 0.9993 here, so a stop rule that ignores the tail after the last term
+    # loses up to 1e-9 at t = 3; that t needs more than the default 10,000
+    # terms.  The reference is e^{-xi t} f_free(x, t | y) + xi int_0^t
+    # e^{-xi tau} f_free(x, tau | 0) dtau in 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    y = 0.06
+    with mpmath.workdps(30):
+        a, nu, xi = map(mpmath.mpf, (D_SYM.alpha, D_SYM.nu, D_SYM.xi))
+        xm, ym, tm = map(mpmath.mpf, (x, y, t))
+
+        def free(start, tau):
+            v = nu / 2 * -mpmath.expm1(-2 * a * tau)
+            return (mpmath.exp(-(xm - start * mpmath.exp(-a * tau)) ** 2 / (2 * v))
+                    / mpmath.sqrt(2 * mpmath.pi * v))
+
+        reset = mpmath.quad(lambda tau: mpmath.exp(-xi * tau) * free(0, tau),
+                            [0, tm / 8, tm / 2, tm])
+        ref = float(mpmath.exp(-xi * tm) * free(ym, tm) + xi * reset)
+    got = ou.f_cat_sym(D_SYM, x, y, t, SeriesControl(max_terms=50_000))
+    assert got == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.004, -0.01])
