@@ -7,10 +7,11 @@ which is ``Generator(Philox(key=[s, i]))`` itself: per event a uniform
 for the holding time, then one for the edge.  The diffusion (stream
 version 3) draws its reset clock from sub-stream 0, its bridge clock or,
 at beta = 0, its passage uniform from sub-stream 1, and the 256 ziggurat
-normals of grid block b from sub-stream 2 + b.  First uniforms of a
-sub-stream are computed for all lanes at once, other draws by one bit
-generator positioned at each lane's sub-stream in turn,
-so every path is a function of (seed, i) alone, and the estimators
+normals of grid block b from sub-stream 2 + b.  Philox is counter-based:
+_philox_uniforms computes the uniforms of all lanes at once in numpy
+array arithmetic, bit for bit as numpy's generator gives them.  Normals
+come from one bit generator positioned at each lane's sub-stream in turn.
+So every path is a function of (seed, i) alone, and the estimators
 advance all paths of a chunk in lockstep: one numpy operation does one
 chain event, or one window of OU grid steps, for every path still running.
 
@@ -29,7 +30,9 @@ by re-running at half the step.  Passage times past the horizon are censored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtri
@@ -63,8 +66,9 @@ OU_BLOCK = 256
 #: OU sub-streams: the reset clock, the bridge clock, then one per normal block
 _RESET_CLOCK, _BRIDGE_CLOCK, _NORMALS = 0, 1, 2
 
-#: uniforms drawn per chain lane at a time (16 Philox blocks, 32 events)
-_CHAIN_WORDS = 64
+#: Philox blocks drawn per chain lane at a time, at most (64 uniforms, 32
+#: events), and per pass of _philox_uniforms (uint64 arrays of 128 kB)
+_CHAIN_BLOCKS, _PHILOX_PASS = 16, 16384
 
 #: lanes per lockstep chunk: chain arrays up to 8 MB, OU window arrays 2 MB (one core's L2)
 _CHAIN_LANES, _OU_LANES = 16384, 1024
@@ -159,28 +163,28 @@ class FptEstimate:
 
 class _LaneStreams:
     """One Philox4x64 bit generator, positioned in turn at sub-streams of
-    the lanes keyed [seed, lane] through its ``state`` setter.  It is built
-    from seed 0 (no OS entropy is read); every positioning replaces its key."""
+    the lanes keyed [seed, lane] through its ``state`` setter, for the
+    normals and the scalar oracles.  It is built from seed 0 (no OS entropy
+    is read); every positioning replaces its key."""
 
     def __init__(self, seed):
         self.seed = seed
         self.gen = np.random.Generator(np.random.Philox(0))
 
-    def at(self, lane, sub=0, block=0) -> np.random.Generator:
-        """The generator after `block` Philox blocks of sub-stream `sub` of `lane`."""
+    def at(self, lane, sub=0) -> np.random.Generator:
+        """The generator at the start of sub-stream `sub` of `lane`."""
         self.gen.bit_generator.state = {
-            "bit_generator": "Philox", "state": {"counter": [block, sub, 0, 0], "key": [self.seed, lane]},
+            "bit_generator": "Philox", "state": {"counter": [0, sub, 0, 0], "key": [self.seed, lane]},
             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         return self.gen
 
-    def rows(self, lanes, n, draw, sub=0, block=0, used=None):
+    def normals(self, lanes, n, sub, used=None):
         """(lanes, n) array: row r holds the first used[r] (default all n)
-        draws of the method `draw` of the generator at sub-stream `sub`,
-        block `block` of lanes[r], then zeros."""
+        standard normals of sub-stream `sub` of lanes[r], then zeros."""
         out = np.zeros((len(lanes), n))
         views = out if used is None else [row[:k] for row, k in zip(out, used.tolist())]
         for row, lane in zip(views, lanes.tolist()):
-            getattr(self.at(lane, sub, block), draw)(out=row)
+            self.at(lane, sub).standard_normal(out=row)
         return out
 
 
@@ -192,22 +196,32 @@ _PHILOX_M0, _PHILOX_M1, _PHILOX_W0, _PHILOX_W1 = (
 def _mulhilo(a, m):
     """High and low words of the 128-bit products of the uint64 array a and the constant m."""
     a0, a1, m0, m1 = a & 0xFFFFFFFF, a >> 32, m & 0xFFFFFFFF, m >> 32
-    lo_lo, lo_hi, hi_lo = a0 * m0, a0 * m1, a1 * m0
-    carry = ((lo_lo >> 32) + (lo_hi & 0xFFFFFFFF) + (hi_lo & 0xFFFFFFFF)) >> 32
-    return a1 * m1 + (lo_hi >> 32) + (hi_lo >> 32) + carry, a * m
+    mid = a1 * m0 + ((a0 * m0) >> 32)  # no sum of 32-bit halves overflows 64 bits
+    return a1 * m1 + (mid >> 32) + ((a0 * m1 + (mid & 0xFFFFFFFF)) >> 32), a * m
 
 
-def _first_uniforms(seed, lanes, sub):
-    """The first ``random()`` of sub-stream `sub` of every lane: word 0 of
-    Philox4x64-10 at key [seed, lane] and counter [1, sub, 0, 0] (numpy
-    bumps the counter before its first block), as (w >> 11) 2^-53."""
-    key = lanes.astype(np.uint64)
-    c0, c1, c2, c3 = np.ones_like(key), np.full_like(key, sub), np.zeros_like(key), np.zeros_like(key)
-    for r in range(10):
-        (hi0, lo0), (hi1, lo1) = _mulhilo(c0, _PHILOX_M0), _mulhilo(c2, _PHILOX_M1)
-        c0, c1, c2, c3 = (hi1 ^ c1 ^ (seed + r * _PHILOX_W0) % 2**64, lo1,
-                          hi0 ^ c3 ^ (key + (r * _PHILOX_W1) % 2**64), lo0)
-    return (c0 >> 11).astype(np.float64) * 2.0**-53
+def _philox_uniforms(seed, lanes, sub, block, n_blocks):
+    """(len(lanes), 4 n_blocks) array: row r holds the next 4 n_blocks
+    ``random()`` of sub-stream `sub` of lanes[r] after `block` blocks.
+    They are the words of Philox4x64-10 at key [seed, lane] and counters
+    [block + 1, sub, 0, 0] ... [block + n_blocks, sub, 0, 0] (numpy bumps
+    the counter before each block), as (w >> 11) 2^-53.  Runs in passes
+    of _PHILOX_PASS blocks.  The round keys are Python ints mod 2^64:
+    numpy warns when a sum of uint64 scalars overflows."""
+    lanes = lanes.astype(np.uint64)
+    keys = [((seed + r * _PHILOX_W0) % 2**64, (r * _PHILOX_W1) % 2**64) for r in range(10)]
+    out = np.empty((lanes.size * n_blocks, 4))
+    for lo in range(0, len(out), _PHILOX_PASS):
+        i = np.arange(lo, min(lo + _PHILOX_PASS, len(out)))
+        key, c0 = lanes[i // n_blocks], (i % n_blocks + block + 1).astype(np.uint64)
+        c1, c2, c3 = np.full_like(c0, sub), np.zeros_like(c0), np.zeros_like(c0)
+        for k0, k1 in keys:
+            (hi0, lo0), (hi1, lo1) = _mulhilo(c0, _PHILOX_M0), _mulhilo(c2, _PHILOX_M1)
+            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ (key + k1), lo0
+        for w, c in enumerate((c0, c1, c2, c3)):
+            out[lo : lo + i.size, w] = c >> 11
+    out *= 2.0**-53
+    return out.reshape(lanes.size, 4 * n_blocks)
 
 
 def default_horizon(model) -> float:
@@ -228,11 +242,13 @@ def default_fpt_grid_dt(d: DiffusionParams) -> float:
 # chain simulation
 
 
+@lru_cache(maxsize=16)
 def _chain_table(p: ChainParams):
     """Per state index k + N: the target indices of its (at most three)
     edges, the cumulative jump probabilities of all but the last edge,
-    padded with +inf, and the total rate.  The edge of a uniform u is then
-    the count of cumulative entries below u (searchsorted, side left)."""
+    padded with +inf, and the total rate, as read-only arrays.  The edge of
+    a uniform u is then the count of cumulative entries below u
+    (searchsorted, side left)."""
     targets = np.zeros((2 * p.N + 1, 3), dtype=np.int64)
     cum = np.full((2 * p.N + 1, 2), np.inf)
     total = np.empty(2 * p.N + 1)
@@ -242,6 +258,8 @@ def _chain_table(p: ChainParams):
         total[k + p.N] = rvals.sum()
         cum[k + p.N, : len(edges) - 1] = (np.cumsum(rvals) / total[k + p.N])[:-1]
         targets[k + p.N, : len(edges)] = [t + p.N for t, _ in edges]
+    for table in (targets, cum, total):
+        table.flags.writeable = False
     return targets, cum, total
 
 
@@ -253,19 +271,19 @@ def _chain_lanes(p: ChainParams, j, seed, lanes, until, absorb=False, trace=None
     or, with `absorb`, at its first jump into 0.  Returns per lane the
     final state and the time of the jump into 0 (nan if none).  With
     `trace` a list, every jump appends (lane positions, times, indices k + N).
-    Lanes run in chunks of _CHAIN_LANES.
+    Lanes run in chunks of _CHAIN_LANES; the running lanes draw their next
+    1, 2, 4, ... up to _CHAIN_BLOCKS Philox blocks together.
     """
     targets, cum, total = _chain_table(p)
-    streams = _LaneStreams(seed)
     state, hit = np.empty(len(lanes), dtype=np.int64), np.full(len(lanes), np.nan)
     for chunk in range(0, len(lanes), _CHAIN_LANES):
         pos = np.arange(chunk, min(chunk + _CHAIN_LANES, len(lanes)))
-        k, clock, block = np.full(pos.size, j + p.N), np.zeros(pos.size), 0
+        k, clock, block, n = np.full(pos.size, j + p.N), np.zeros(pos.size), 0, 1
         while pos.size:
-            u = streams.rows(lanes[pos], _CHAIN_WORDS, "random", block=block)
-            block += _CHAIN_WORDS // 4
+            u = _philox_uniforms(seed, lanes[pos], 0, block, n)
+            block, n = block + n, min(2 * n, _CHAIN_BLOCKS)
             row = np.arange(pos.size)
-            for e in range(0, _CHAIN_WORDS, 2):
+            for e in range(0, u.shape[1], 2):
                 clock = clock + -np.log1p(-u[row, e]) / total[k]
                 stop = clock >= until
                 k = np.where(stop, k, targets[k, (cum[k] < u[row, e + 1, None]).sum(axis=1)])
@@ -311,7 +329,7 @@ def simulate_chain_path_clock(p: ChainParams, j, cfg: SimConfig, path_index) -> 
     j = p.check_state(j, "j")
     horizon = cfg.horizon if cfg.horizon is not None else default_horizon(p)
     rng = _LaneStreams(cfg.seed).at(path_index)
-    targets, cum, total = _chain_table(ChainParams(N=p.N, lam=p.lam, mu=p.mu, xi=0.0))
+    targets, cum, total = (table.tolist() for table in _chain_table(replace(p, xi=0.0)))
     times = [0.0]
     states = [j]
     t = 0.0
@@ -334,7 +352,7 @@ def simulate_chain_path_clock(p: ChainParams, j, cfg: SimConfig, path_index) -> 
         t = t_move
         if t >= horizon:
             break
-        k = int(targets[k + p.N, np.searchsorted(cum[k + p.N], rng.random())]) - p.N
+        k = targets[k + p.N][bisect_left(cum[k + p.N], rng.random())] - p.N
         times.append(t)
         states.append(k)
     return ChainPath(np.array(times), np.array(states, dtype=np.int64))
@@ -368,7 +386,7 @@ def _exp_clock(seed, lanes, rate, sub=_RESET_CLOCK):
     """First event time of a Poisson(rate) clock per lane (inf at rate 0)."""
     if rate == 0.0:
         return np.full(len(lanes), np.inf)
-    return -np.log1p(-_first_uniforms(seed, lanes, sub)) / rate
+    return -np.log1p(-_philox_uniforms(seed, lanes, sub, 0, 1)[:, 0]) / rate
 
 
 def simulate_ou_path(d: DiffusionParams, y, cfg: SimConfig, path_index) -> OuPath:
@@ -417,7 +435,7 @@ def sample_ou_endpoints(d: DiffusionParams, y, t, cfg: SimConfig) -> np.ndarray:
         raise ValueError(f"need t > 0 and a finite start, got t={t}, y={y}")
     lanes = np.arange(cfg.n_paths)
     back = np.minimum(_exp_clock(cfg.seed, lanes, d.xi), t)
-    z = _LaneStreams(cfg.seed).rows(lanes, 1, "standard_normal", sub=_NORMALS)[:, 0]
+    z = _LaneStreams(cfg.seed).normals(lanes, 1, _NORMALS)[:, 0]
     mean, s = _ou_transition(d, np.where(back < t, 0.0, y), back)
     return mean + s * z
 
@@ -454,8 +472,11 @@ def _ou_fpt_times(d: DiffusionParams, y, dt, horizon, cfg: SimConfig):
     clock's density is at most 1, so a passage moves with chance below
     4.3e-18 per step.  A lane runs only the ceil(min(R, horizon) / dt)
     steps that can set its time and draws only their normals.  Lanes run
-    in chunks of _OU_LANES.
+    in chunks of _OU_LANES.  With xi = 0 and an infinite horizon no step
+    count bounds the walk, and it raises ValueError.
     """
+    if d.xi == 0.0 and math.isinf(horizon):
+        raise ValueError("the OU grid walk has no last step at xi = 0 with an infinite horizon")
     ea = math.exp(-d.alpha * dt)
     _, sd = _ou_transition(d, 0.0, dt)
     w = max(1, min(OU_BLOCK, int(1.0 / (d.alpha * dt))))
@@ -470,7 +491,7 @@ def _ou_fpt_times(d: DiffusionParams, y, dt, horizon, cfg: SimConfig):
         x, hazard, block = np.full(pos.size, float(y)), np.zeros(pos.size), 0
         while pos.size:
             used = np.minimum(n_steps[pos] - block * OU_BLOCK, OU_BLOCK)
-            z = streams.rows(lanes[pos], OU_BLOCK, "standard_normal", sub=_NORMALS + block, used=used)
+            z = streams.normals(lanes[pos], OU_BLOCK, _NORMALS + block, used)
             row = np.arange(pos.size)
             for lo in range(0, OU_BLOCK, w):
                 m = min(w, OU_BLOCK - lo)
@@ -502,7 +523,7 @@ def _ou_fpt_exact(d: DiffusionParams, y, horizon, cfg: SimConfig):
     log1p(2 y^2 / (nu Z^2)) / (2 alpha)), |Z| = -ndtri(u / 2) with u = 1 -
     random() of sub-stream 1 in (0, 1]; at |Z| = 0 the free passage is inf."""
     lanes = np.arange(cfg.n_paths)
-    z = ndtri(0.5 * (1.0 - _first_uniforms(cfg.seed, lanes, _BRIDGE_CLOCK)))
+    z = ndtri(0.5 * (1.0 - _philox_uniforms(cfg.seed, lanes, _BRIDGE_CLOCK, 0, 1)[:, 0]))
     with np.errstate(divide="ignore"):
         free = np.log1p(2.0 * y * y / (d.nu * z * z)) / (2.0 * d.alpha)
     fpt = np.minimum(_exp_clock(cfg.seed, lanes, d.xi), free)

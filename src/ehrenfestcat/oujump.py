@@ -260,6 +260,12 @@ def f_cat_sym(d: DiffusionParams, x, y, t, ctl=DEFAULT_SERIES) -> float:
     form has an O(K^{-q}) tail, unusable in double precision).  Stops
     after three consecutive terms whose tail bound term/(1-s) is below
     rel_tol * partial sum, or that equal 0.
+
+    The terms fall like s^k k^{-1-q}, so the stop comes near the K with
+    s^K K^{-1-q} = rel_tol (1 - s), which grows like e^{2 alpha t}.  A
+    K past ctl.max_terms raises ValueError before summing: by default the
+    region is alpha t <= 3 (at alpha = 1.2, xi = 0.5 it returns at t = 2.5
+    and refuses t = 2.6); f_cat serves larger alpha t.
     """
     if d.beta != 0.0:
         raise ValueError("f_cat_sym requires beta = 0; use f_cat for general beta")
@@ -275,6 +281,9 @@ def f_cat_sym(d: DiffusionParams, x, y, t, ctl=DEFAULT_SERIES) -> float:
     ws = x * x / (nu * s)
     pref = xi / (2.0 * alpha * math.sqrt(math.pi * nu))
     ls = math.log(s)
+    if ctl.max_terms * -ls + (1.0 + q) * math.log(ctl.max_terms) < 2.0 * alpha * t - math.log(ctl.rel_tol):
+        raise ValueError(f"the reset-density series needs more than {ctl.max_terms} terms at "
+                         f"alpha t = {alpha * t:.4g} (s = {s:.6f}); use f_cat")
     lw = -ws + 0.5 * ls
     stop = ctl.rel_tol * math.exp(-2.0 * alpha * t)  # rel_tol * (1 - s)
     coef = 1.0  # (-1)^k C(q-1, k) = prod_{i<=k} (i-q)/i, positive for 0<q<1

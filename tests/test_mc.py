@@ -249,23 +249,48 @@ def test_ou_fpt_lanes_with_resets_match_grid_walk():
         assert 5 <= on_grid.sum() <= 35
 
 
-def test_first_uniforms_match_numpy_philox():
-    # the all-lane Philox4x64-10 gives the first random() of numpy's own
-    # generator keyed [seed, lane] at sub-stream 0 and 1, bit for bit
-    lanes = np.array(list(range(100_000)) + [2**63 - 2, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1],
+def _numpy_uniforms(seed, lane, sub, block, n):
+    """The next 4 n random() of numpy's own generator keyed [seed, lane] at counter [block, sub, 0, 0]."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, lane], dtype=np.uint64),
+                                                counter=np.array([block, sub, 0, 0], dtype=np.uint64))
+                               ).random(4 * n)
+
+
+def test_philox_uniforms_match_numpy_philox():
+    # the all-lane Philox4x64-10 kernel gives the random() words of numpy's
+    # own generator, bit for bit: n blocks after block b at the chain's
+    # refill offsets, on sub-streams 0-2, at edge keys and seeds.  With 3
+    # blocks a lane, lane 5461 straddles two of the kernel's passes
+    lanes = np.array(list(range(6000)) + [2**63 - 2, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1],
                      dtype=np.uint64)
+    some = np.r_[np.arange(0, 6000, 97), 5461, np.arange(6000, 6005)]
     for seed in (0, 2**63 + 12345, 2**64 - 1):
-        for sub in (0, 1):
-            u = mc._first_uniforms(seed, lanes, sub)
-            assert np.array_equal(u, mc._LaneStreams(seed).rows(lanes, 1, "random", sub=sub)[:, 0])
-            some = np.r_[lanes[:100_000:997], lanes[-5:]]
-            ref = [np.random.Generator(np.random.Philox(key=np.array([seed, lane], dtype=np.uint64),
-                                                        counter=np.array([0, sub, 0, 0], dtype=np.uint64))).random()
-                   for lane in some.tolist()]
-            assert np.array_equal(np.r_[u[:100_000:997], u[-5:]], ref)
+        for sub in (0, 1, 2):
+            for block, n in ((0, 1), (1, 2), (3, 4), (7, 8), (15, 16), (31, 16), (5, 3)):
+                u = mc._philox_uniforms(seed, lanes, sub, block, n)
+                ref = [_numpy_uniforms(seed, lane, sub, block, n) for lane in lanes[some].tolist()]
+                assert np.array_equal(u[some], ref), (seed, sub, block)
             rate = 0.7
-            assert np.array_equal(mc._exp_clock(seed, lanes[:50], rate, sub), -np.log1p(-u[:50]) / rate)
+            assert np.array_equal(mc._exp_clock(seed, lanes[:50], rate, sub),
+                                  -np.log1p(-mc._philox_uniforms(seed, lanes[:50], sub, 0, 1)[:, 0]) / rate)
+    u = mc._philox_uniforms(2**64 - 1, lanes, 1, 5, 3)
+    assert np.array_equal(u, [_numpy_uniforms(2**64 - 1, lane, 1, 5, 3) for lane in lanes.tolist()])
     assert np.all(mc._exp_clock(7, lanes[:50], 0.0) == np.inf)
+
+
+def test_one_lane_path_refills_past_the_block_cap():
+    # over horizon 40 a lane runs about 480 events, 240 Philox blocks, well
+    # past the 16 blocks of one refill: the one-lane path is lane i of a
+    # 50-lane run, and numpy's own stream drawn event by event
+    cfg = mc.SimConfig(seed=2**64 - 1, n_paths=50, horizon=40.0)
+    states, _ = mc._chain_lanes(P, 6, cfg.seed, np.arange(50), cfg.horizon)
+    for i in (0, 17, 49):
+        path = mc.simulate_chain_path(P, 6, cfg, i)
+        assert path.states.size // 2 > 8 * mc._CHAIN_BLOCKS  # two events a block
+        assert path.states[-1] == states[i]
+        times, ref = _scalar_chain_path(P, 6, cfg.seed, i, cfg.horizon)
+        assert np.array_equal(path.states, ref)
+        np.testing.assert_allclose(path.times, times, rtol=1e-15, atol=0.0)
 
 
 def test_ou_stream_version_3_pinned():
@@ -440,6 +465,18 @@ def test_ou_fpt_censored_past_horizon():
     assert est.density.grid[-1] < cfg.horizon
     uncut = mc._ou_fpt_exact(D, 0.03, math.inf, cfg)
     assert est.n_censored == np.sum(uncut > 1.0) > 0
+
+
+def test_ou_grid_walk_needs_a_last_step():
+    # beta != 0 with xi = 0 and an infinite horizon: neither a reset nor the
+    # horizon ends the grid walk, which raises up front; a reset clock does
+    d = ou.DiffusionParams(alpha=1.2, beta=0.004, nu=0.001, xi=0.0)
+    cfg = mc.SimConfig(seed=1, n_paths=4, horizon=math.inf)
+    with pytest.raises(ValueError, match="grid walk"):
+        mc.estimate_fpt(d, 0.03, cfg)
+    est = mc.estimate_fpt(dataclasses.replace(d, xi=0.5), 0.03, dataclasses.replace(cfg, n_paths=50),
+                          half_step_check=False)
+    assert est.n_censored == 0 and math.isfinite(est.mean.value)
 
 
 def test_estimate_fpt_needs_two_uncensored_paths():

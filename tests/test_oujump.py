@@ -1,5 +1,6 @@
 """Jump-diffusion checks: scaling map, densities, first-passage, inversion."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -267,8 +268,23 @@ def test_f_cat_sym_domain():
         ou.f_cat_sym(D_BETA, 0.01, 0.0, 1.0)  # beta != 0
     with pytest.raises(ValueError):
         ou.f_cat_sym(D_SYM, 0.0, 0.01, 1.0)  # x = 0
-    with pytest.raises(NonConvergenceError):
+    # a term budget far below the series' need is refused before summing
+    with pytest.raises(ValueError, match="more than 10 terms"):
         ou.f_cat_sym(D_SYM, 0.02, 0.06, 2.0, SeriesControl(rel_tol=1e-12, max_terms=10))
+    # the budget check predicts 1,261 terms here, the sum needs 1,748
+    # (Psi factors far from 1/k at x^2/(nu s) = 40): the sum itself raises
+    with pytest.raises(NonConvergenceError):
+        ou.f_cat_sym(dataclasses.replace(D_SYM, xi=5.0), 0.2, 0.06, 2.0, SeriesControl(max_terms=1500))
+
+
+def test_f_cat_sym_term_budget_edge():
+    # the series needs about e^{2 alpha t} terms: with the default 10,000
+    # it returns at alpha t = 3 (t = 2.5, 8,615 terms) and refuses alpha t =
+    # 3.12 (t = 2.6, 10,919 terms) before summing; f_cat serves that t
+    got = ou.f_cat_sym(D_SYM, 0.02, 0.06, 2.5)
+    assert got == pytest.approx(ou.f_cat(D_SYM, 0.02, 0.06, 2.5), rel=1e-9)
+    with pytest.raises(ValueError, match="more than 10000 terms"):
+        ou.f_cat_sym(D_SYM, 0.02, 0.06, 2.6)
 
 
 # ----------------------------------------------------------------------
