@@ -134,8 +134,7 @@ def cmd_diffusion_density(args):
     xs = np.linspace(lo, hi, args.points)
     cols = {
         "x": xs,
-        "f": [ou.f_cat(d, float(x), args.y, args.t) if d.xi > 0.0
-              else ou.f_free(d, float(x), args.y, args.t) for x in xs],
+        "f": ou.f_cat(d, xs, args.y, args.t),
         "stationary": [ou.W_cat(d, float(x)) if d.xi > 0.0 else ou.w_free(d, float(x))
                        for x in xs],
     }
@@ -157,7 +156,7 @@ def cmd_diffusion_fpt(args):
     t_max = args.t_max if args.t_max is not None else 10.0 / (d.alpha + d.xi)
     grid = np.linspace(0.0, t_max, args.points)
     if d.beta == 0.0:
-        dens = [ou.fpt_density_cat_sym(d, args.y, float(t)) for t in grid]
+        dens = ou.fpt_density_cat_sym(d, args.y, grid)
     else:
         # no closed form off beta=0: numerical transform inversion
         dens = [d.xi if t == 0.0 else
@@ -306,10 +305,7 @@ def _figure_columns(fig_id):
         cols = {"n": states, "x": states * eps}
         for t, row in zip(_FIG8_TIMES, eh.p_cat_closed_rows(p, j, _FIG8_TIMES)):
             cols[f"p_t{t}"] = row.values
-            if xi > 0.0:
-                cols[f"f_scaled_t{t}"] = [eps * ou.f_cat(d, float(x), y, t) for x in states * eps]
-            else:
-                cols[f"f_scaled_t{t}"] = [eps * ou.f_free(d, float(x), y, t) for x in states * eps]
+            cols[f"f_scaled_t{t}"] = eps * ou.f_cat(d, states * eps, y, t)
         return {"N": N, "lambda": lam, "mu": mu, "xi": xi, "j": j, "epsilon": eps,
                 "times": list(_FIG8_TIMES)}, cols
 
@@ -323,7 +319,7 @@ def _figure_columns(fig_id):
             p = eh.ChainParams(N=N, lam=lam, mu=mu, xi=xi)
             d = ou.scale_params(ou.ScalingMap(eps, p))
             cols[f"chain_xi{xi}"] = eh.fpt_density_cat_curve(p, j, grid).samples
-            cols[f"diffusion_xi{xi}"] = [ou.fpt_density_cat_sym(d, y, float(t)) for t in grid]
+            cols[f"diffusion_xi{xi}"] = ou.fpt_density_cat_sym(d, y, grid)
         return {"N": N, "lambda": lam, "mu": mu, "j": j, "epsilon": eps}, cols
 
     if fig_id in _FIG10:

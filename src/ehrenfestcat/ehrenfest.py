@@ -66,7 +66,7 @@ SYMMETRY_RTOL = 1e-12
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """A quadrature failed to reach its tolerance (achieved: the error it reports)."""
 
     def __init__(self, message, achieved=None):
         super().__init__(message)

@@ -125,6 +125,21 @@ def test_estimate_chain_law_consistent_with_path_simulator():
         assert (np.isnan(h) and zero.size == 0) or h == path.times[zero[0]]
 
 
+def test_clock_paths_pinned_across_seeds():
+    # the clock simulator repositions one cached generator per seed; paths
+    # interleaved across seeds and repeated are those of stream version 3
+    h = hashlib.sha256()
+    paths = {}
+    for seed, i in [(7, 0), (7, 1), (11, 0), (7, 2), (11, 5), (7, 0)]:
+        path = mc.simulate_chain_path_clock(P, 6, mc.SimConfig(seed=seed, n_paths=10, horizon=5.0), i)
+        h.update(path.times.tobytes())
+        h.update(path.states.tobytes())
+        paths.setdefault((seed, i), []).append(path)
+    a, b = paths[7, 0]
+    assert np.array_equal(a.times, b.times) and np.array_equal(a.states, b.states)
+    assert h.hexdigest()[:16] == "fbf8d52114e2aa38"
+
+
 def test_merged_vs_clock_simulators_same_law():
     # two-sample chi-square on the t = 1 law, merged-rate vs independent
     # catastrophe clock, 1e5 paths each

@@ -216,9 +216,36 @@ def test_f_cat_sym_far_tail_vs_f_cat(t):
     for w in (50.0, 200.0, 600.0, 2000.0, 5000.0):
         x = math.sqrt(w * D_SYM.nu * s)
         got = ou.f_cat_sym(D_SYM, x, -x, t)
-        want = ou.f_cat(D_SYM, x, -x, t, tol=1e-12 * got if got else 1e-300)
+        want = ou.f_cat(D_SYM, x, -x, t)
         assert got == pytest.approx(want, rel=1e-10, abs=0), w
         assert (got == 0.0) == (w > 745.0), w
+
+
+def _mp_renewal(d, x, y, t):
+    """e^{-xi t} f_free(x, t | y) + xi int_0^t e^{-xi tau} f_free(x, tau | 0) dtau, or
+    with y None its t -> inf limit (W_cat), by 30-digit mpmath quadrature.
+
+    mpmath.quad misjudges its own error on these integrands unless the range
+    is cut finely: at tau = t 10^-k (the layer of width x^2/(alpha nu) near 0),
+    every 1/(4 alpha) up to 20/alpha (the free relaxation), then at 20/alpha
+    + k/xi.  The infinite range stops at 20/alpha + 400/xi (e^{-400} below).
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        a, b, nu, xi = map(mpmath.mpf, (d.alpha, d.beta, d.nu, d.xi))
+        xm = mpmath.mpf(x)
+        end = 20 / a + 400 / xi if y is None else mpmath.mpf(t)
+
+        def free(start, tau):
+            v = nu / 2 * -mpmath.expm1(-2 * a * tau)
+            return (mpmath.exp(-(xm - b - (start - b) * mpmath.exp(-a * tau)) ** 2 / (2 * v))
+                    / mpmath.sqrt(2 * mpmath.pi * v))
+
+        pts = {end * mpmath.mpf(10) ** -k for k in range(1, 16)} | {k / (4 * a) for k in range(1, 81)}
+        pts |= {20 / a + k / xi for k in (1, 2, 5, 10, 20, 40, 80, 160)}
+        pts = [mpmath.mpf(0)] + sorted(p for p in pts if p < end) + [end]
+        reset = xi * mpmath.quad(lambda tau: mpmath.exp(-xi * tau) * free(0, tau), pts)
+        return float(reset if y is None else mpmath.exp(-xi * end) * free(mpmath.mpf(y), end) + reset)
 
 
 @pytest.mark.parametrize("t", [1.0, 2.0, 3.0])
@@ -227,24 +254,80 @@ def test_f_cat_sym_vs_mpmath_renewal_integral(x, t):
     # the series is geometric in s = 1 - e^{-2 alpha t}: s = 0.91, 0.99 and
     # 0.9993 here, so a stop rule that ignores the tail after the last term
     # loses up to 1e-9 at t = 3; that t needs more than the default 10,000
-    # terms.  The reference is e^{-xi t} f_free(x, t | y) + xi int_0^t
-    # e^{-xi tau} f_free(x, tau | 0) dtau in 30 digits
-    mpmath = pytest.importorskip("mpmath")
-    y = 0.06
-    with mpmath.workdps(30):
-        a, nu, xi = map(mpmath.mpf, (D_SYM.alpha, D_SYM.nu, D_SYM.xi))
-        xm, ym, tm = map(mpmath.mpf, (x, y, t))
+    # terms
+    got = ou.f_cat_sym(D_SYM, x, 0.06, t, SeriesControl(max_terms=50_000))
+    assert got == pytest.approx(_mp_renewal(D_SYM, x, 0.06, t), rel=1e-12, abs=0)
 
-        def free(start, tau):
-            v = nu / 2 * -mpmath.expm1(-2 * a * tau)
-            return (mpmath.exp(-(xm - start * mpmath.exp(-a * tau)) ** 2 / (2 * v))
-                    / mpmath.sqrt(2 * mpmath.pi * v))
 
-        reset = mpmath.quad(lambda tau: mpmath.exp(-xi * tau) * free(0, tau),
-                            [0, tm / 8, tm / 2, tm])
-        ref = float(mpmath.exp(-xi * tm) * free(ym, tm) + xi * reset)
-    got = ou.f_cat_sym(D_SYM, x, y, t, SeriesControl(max_terms=50_000))
-    assert got == pytest.approx(ref, rel=1e-12, abs=0)
+def test_f_cat_array_matches_scalar_calls():
+    # one route: the row sums run in the same order for one x as for many
+    xs = np.linspace(-0.15, 0.15, 120)
+    for d in (D_SYM, dataclasses.replace(D_SYM, beta=0.004), D_BETA, dataclasses.replace(D_SYM, xi=0.0)):
+        for t in (0.25, 3.0):
+            got = ou.f_cat(d, xs, 0.06, t)
+            one = np.array([ou.f_cat(d, float(x), 0.06, t) for x in xs])
+            assert got.shape == xs.shape
+            assert np.all(np.abs(got - one) <= 2 * np.spacing(np.abs(one)))
+    assert type(ou.f_cat(D_SYM, 0.02, 0.06, 1.0)) is float
+    assert type(ou.f_cat(D_SYM, np.float64(0.02), 0.06, 1.0)) is float
+
+
+@pytest.mark.parametrize("b", [0.0, -10.0])
+@pytest.mark.parametrize("alpha_t", [1e-3, 100.0])
+@pytest.mark.parametrize("xi_over_alpha", [0.01, 100.0])
+def test_f_cat_region_corners_vs_mpmath(b, alpha_t, xi_over_alpha):
+    # the stated region: any alpha t (past 40 the rest is closed form),
+    # xi/alpha <= 100, |beta|/sqrt(nu) <= 10, any x; 1e-12 absolute is 1e-14
+    # of the density's scale here
+    nu = 0.001
+    d = ou.DiffusionParams(alpha=1.2, beta=b * math.sqrt(nu), nu=nu, xi=1.2 * xi_over_alpha)
+    xs = np.array([0.0, -3.0, 6.0]) * math.sqrt(nu)
+    got = ou.f_cat(d, xs, 0.06, alpha_t / d.alpha)
+    want = [_mp_renewal(d, x, 0.06, alpha_t / d.alpha) for x in xs.tolist()]
+    assert got == pytest.approx(want, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("xi_over_alpha", [0.4, 100.0])
+def test_f_cat_cusp_at_zero_vs_mpmath(xi_over_alpha):
+    # the density has a cusp at x = 0: its reset part falls like xi |x| /
+    # (alpha nu) from its x = 0 value.  A rule in w alone cannot follow it
+    # below x ~ sqrt(nu)/10 and returns the x = 0 value (4e-5 too high at
+    # x = 1e-7 by adaptive quadrature too); the closed-form layer does
+    d = ou.DiffusionParams(alpha=1.2, beta=0.004, nu=0.001, xi=1.2 * xi_over_alpha)
+    xs = np.array([1e-9, -1e-7, 1e-5, 1e-3, 0.0999, -0.1001]) * math.sqrt(d.nu)
+    got = ou.f_cat(d, xs, 0.06, 1.0)
+    want = [_mp_renewal(d, x, 0.06, 1.0) for x in xs.tolist()]
+    assert got == pytest.approx(want, rel=0, abs=1e-12)
+
+
+def test_f_cat_raises_just_outside_its_region():
+    nu = 0.001
+    xs = np.array([0.0, 0.004, 0.01, 0.3, 3.0, 8.0]) * math.sqrt(nu)
+
+    def call(b, xi_over_alpha, alpha_t):
+        d = ou.DiffusionParams(alpha=1.2, beta=b * math.sqrt(nu), nu=nu, xi=1.2 * xi_over_alpha)
+        return ou.f_cat(d, xs, 0.06, alpha_t / 1.2)
+
+    call(0.0, 100.0, 1.0)
+    with pytest.raises(eh.QuadratureError) as err:
+        call(0.0, 500.0, 1.0)  # the rule gap is 3.7e-10 near x = 0
+    assert err.value.achieved > ou.F_CAT_TOL
+    call(10.0, 1.0, 100.0)
+    with pytest.raises(eh.QuadratureError):
+        call(15.0, 1.0, 100.0)  # the mean's move from 0 to beta is too sharp for the tau rule
+
+
+def test_w_cat_far_tail_vs_renewal_integral():
+    # W_cat = xi f_free_laplace in logs: relative accuracy down to the least
+    # normal double, and 0.0 where the density is below half the least subnormal
+    for d in (D_SYM, dataclasses.replace(D_SYM, beta=0.004)):
+        for a in (20.0, 26.5, 28.0):
+            x = a * math.sqrt(d.nu)
+            got, want = ou.W_cat(d, x), _mp_renewal(d, x, None, None)
+            if a < 27.0:
+                assert want > np.finfo(float).tiny and got == pytest.approx(want, rel=1e-12), a
+            else:
+                assert want < 2.5e-324 and got == 0.0, a
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.004, -0.01])
@@ -350,13 +433,16 @@ def test_fpt_laplace_free_tends_to_one():
 
 
 def test_fpt_laplace_sym_matches_general():
-    for s in (0.2, 0.7, 3.0):
-        assert ou.fpt_laplace_free(D_SYM, 0.03, s) == pytest.approx(
-            ou.fpt_laplace_free_sym(D_SYM, 0.03, s), rel=1e-10
-        )
-    # a far start: e^{y^2/(2 nu)} alone overflows, so the cylinder factor is taken in logs
-    assert ou.fpt_laplace_free_sym(D_SYM, 1.5, 0.5) == pytest.approx(
-        ou.fpt_laplace_free(D_SYM, 1.5, 0.5), rel=1e-10)
+    # at beta = 0 the transform is 2^{s/(2a)}/sqrt(pi) Gamma(1/2 + s/(2a))
+    # e^{y^2/(2nu)} D_{-s/a}(sqrt(2/nu)|y|); at the far start y = 1.5,
+    # e^{y^2/(2nu)} alone overflows a double
+    mpmath = pytest.importorskip("mpmath")
+    for y, s in ((0.03, 0.2), (0.03, 0.7), (-0.03, 3.0), (1.5, 0.5)):
+        with mpmath.workdps(30):
+            a, nu, ym, sm = map(mpmath.mpf, (D_SYM.alpha, D_SYM.nu, y, s))
+            ref = (2 ** (sm / (2 * a)) / mpmath.sqrt(mpmath.pi) * mpmath.gamma(0.5 + sm / (2 * a))
+                   * mpmath.exp(ym**2 / (2 * nu)) * mpmath.pcfd(-sm / a, mpmath.sqrt(2 / nu) * abs(ym)))
+        assert ou.fpt_laplace_free(D_SYM, y, s) == pytest.approx(float(ref), rel=1e-10)
 
 
 def test_fpt_laplace_matches_density_quadrature():
@@ -384,6 +470,23 @@ def test_fpt_density_cat_sym_at_zero_is_xi():
     assert ou.fpt_density_cat_sym(D_SYM, 0.03, 0.0) == D_SYM.xi
 
 
+def test_fpt_densities_sym_take_a_time_array():
+    # the CLI and figure grids start at t = 0, where the value is xi; no
+    # RuntimeWarning (an error under this suite) from log(0) or 0/0 there
+    grid = np.linspace(0.0, 10.0 / (D_SYM.alpha + D_SYM.xi), 400)
+    got = ou.fpt_density_cat_sym(D_SYM, 0.03, grid)
+    assert got[0] == D_SYM.xi
+    assert np.array_equal(got, [ou.fpt_density_cat_sym(D_SYM, 0.03, float(t)) for t in grid])
+    free = ou.fpt_density_free_sym_x(D_SYM, -0.03, grid[1:])
+    assert np.array_equal(free, [ou.fpt_density_free_sym_x(D_SYM, -0.03, float(t)) for t in grid[1:]])
+    assert type(ou.fpt_density_cat_sym(D_SYM, 0.03, 0.5)) is float
+    assert type(ou.fpt_density_free_sym_x(D_SYM, 0.03, 0.5)) is float
+    with pytest.raises(ValueError):
+        ou.fpt_density_free_sym_x(D_SYM, 0.03, grid)
+    with pytest.raises(ValueError):
+        ou.fpt_density_cat_sym(D_SYM, 0.03, [1.0, -1e-9])
+
+
 def test_fpt_density_cat_sym_normalized():
     val, _ = quad(lambda t: ou.fpt_density_cat_sym(D_SYM, 0.03, t), 0.0, 80.0, limit=400)
     assert val == pytest.approx(1.0, abs=1e-6)
@@ -396,9 +499,14 @@ def test_fpt_density_cat_sym_zero_xi_reduction():
 
 
 def test_mean_fpt_matches_symmetric_display():
-    # the beta=0 mean display is (1/xi)[1 - the beta=0 transform at s=xi]
+    # the beta=0 mean display is (1/xi)[1 - the beta=0 transform at s=xi],
+    # 2^{q/2}/sqrt(pi) Gamma(1/2 + q/2) e^{y^2/(2nu)} D_{-q}(sqrt(2/nu) y), q = xi/alpha
+    from scipy.special import gamma, pbdv
+
     direct = ou.mean_fpt_cat(D_SYM, 0.03)
-    via_sym = (1.0 - ou.fpt_laplace_free_sym(D_SYM, 0.03, D_SYM.xi)) / D_SYM.xi
+    q, y = D_SYM.xi / D_SYM.alpha, 0.03
+    g = 2 ** (q / 2) / math.sqrt(math.pi) * gamma(0.5 + q / 2) * math.exp(y * y / (2 * D_SYM.nu))
+    via_sym = (1.0 - g * pbdv(-q, math.sqrt(2 / D_SYM.nu) * y)[0]) / D_SYM.xi
     assert direct == pytest.approx(via_sym, rel=1e-10)
 
 
@@ -557,8 +665,6 @@ def test_laplace_forms_take_complex_scalars_and_node_arrays(beta):
     s = np.array([3.0 + 0.0j, 2.0 + 5.0j, -4.0 + 9.0j, -30.0 + 40.0j])
     forms = [lambda s: ou.f_free_laplace(d, 0.01, 0.03, s),
              lambda s: ou.fpt_laplace_free(d, 0.03, s)]
-    if beta == 0.0:
-        forms.append(lambda s: ou.fpt_laplace_free_sym(d, 0.03, s))
     for form in forms:
         many = form(s)
         assert many.shape == s.shape
@@ -586,8 +692,7 @@ def test_laplace_forms_make_one_complex_cylinder_call(monkeypatch):
     s = np.array([3.0 + 0.0j, 2.0 + 5.0j, -4.0 + 9.0j, -30.0 + 40.0j])
     forms = [(lambda s: ou.f_free_laplace(D_BETA, 0.01, 0.03, s), ("log", (2,))),
              (lambda s: ou.fpt_laplace_free(D_BETA, 0.03, s), ("ratio", ())),
-             (lambda s: ou.fpt_laplace_cat(D_BETA, 0.03, s), ("ratio", ())),
-             (lambda s: ou.fpt_laplace_free_sym(D_SYM, 0.03, s), ("log", ()))]
+             (lambda s: ou.fpt_laplace_cat(D_BETA, 0.03, s), ("ratio", ()))]
     for form, call in forms:
         for arg in (s, complex(s[1])):
             calls.clear()
