@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad_vec, solve_ivp
 from scipy.integrate import quad  # noqa: F401  unused; benchmark/trace_targets.py patches it
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .specfun import NonConvergenceError
 from .specfun import appell_f1_terminating  # noqa: F401  unused; benchmark/trace_targets.py patches it
@@ -347,9 +347,10 @@ def q_cat_row(p: ChainParams) -> ProbVector:
     """Stationary law of the chain with catastrophes, in closed form.
 
     q = xi int_0^inf e^{-xi tau} p_free(0, ., tau) dtau = xi e_0 (xi I - Q_free)^{-1},
-    the renewal tail of p_cat_closed_rows at t = 0 (see _renewal_tail):
-    one tridiagonal resolvent solve whose every step adds positive terms,
-    so no entry is negative.  It equals the Appell-F1 form of the paper.
+    the renewal tail of p_cat_closed_rows at t = 0 (see _renewal_tail): two
+    banded back-substitutions on the LU factors that _renewal_factors caches
+    per parameter set, whose every step adds positive terms, so no entry is
+    negative.  It equals the Appell-F1 form of the paper.
     Against the null space of generator_matrix it agrees to 1e-12
     absolute over N <= 160, lam/mu from 0.01 to 100 and xi from 0.01 to 5.
     """
@@ -401,33 +402,50 @@ def _outer_index_sum(N: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=128)
+def _renewal_factors(p: ChainParams):
+    """Read-only dgbtrf factors (lu, piv, kl, ku) of U^T and L^T, where LU = A = xi I - Q_free, xi > 0.
+
+    A is a tridiagonal M-matrix with birth rates lam_k = lam (N-n) and death
+    rates mu_k = mu (N+n) at state n = k - N.  LU takes the subtraction-free
+    pivots of Grassmann, Taksar & Heyman (Oper. Res. 33, 1985): s_0 = xi,
+    s_k = xi + mu_k s_{k-1}/d_{k-1} (the Schur complement's row sum) and
+    d_k = s_k + lam_k > lam_k, so dgbtrf (solve_banded's gbsv factor step) swaps no row.
+    """
+    N, lam, mu, xi, n = p.N, p.lam, p.mu, p.xi, p.states
+    s, d = xi, [xi + lam * 2 * N]
+    for k in range(1, 2 * N + 1):
+        s = xi + mu * k * s / d[-1]
+        d.append(s + lam * (2 * N - k))
+    d = np.array(d)
+    ut = np.vstack([np.zeros_like(d), d, -lam * (N - n)])    # U^T: dgbtrf's spare row, d_k, -lam_k below
+    lt = np.vstack([-mu * (N + n) / np.roll(d, 1), np.ones_like(d)])   # L^T: -mu_k/d_{k-1} above 1
+    factors = []
+    for band, kl, ku in ((ut, 1, 0), (lt, 0, 1)):
+        lu, piv, info = dgbtrf(band, kl, ku)
+        if info:
+            raise np.linalg.LinAlgError("singular matrix")
+        lu.flags.writeable = piv.flags.writeable = False
+        factors.append((lu, piv, kl, ku))
+    return tuple(factors)
+
+
 def _renewal_tail(p: ChainParams, times: np.ndarray, free0: np.ndarray) -> np.ndarray:
     """T(t) = xi int_t^inf e^{-xi tau} p_free(0, ., tau) dtau at every time, (time, n), xi > 0.
 
     By renewal at the last catastrophe, p_cat(j,.,t) = q + e^{-xi t}
     p_free(j,.,t) - T(t) with q = T(0).  free0 holds the rows p_free(0,.,t)
     of the times.  The free chain is Markov, so T(t) = xi e^{-xi t} x(t)
-    with x^T A = free0(t)^T, where A = xi I - Q_free is a tridiagonal
-    M-matrix with birth rates lam_k = lam (N-n) and death rates
-    mu_k = mu (N+n) at state n = k - N.  A = LU with the subtraction-free
-    pivots of Grassmann, Taksar & Heyman (Oper. Res. 33, 1985): s_0 = xi,
-    s_k = xi + mu_k s_{k-1}/d_{k-1} and d_k = s_k + lam_k, where s_k is the
-    row sum of the Schur complement.  The solves with U^T and then L^T are
-    two bidiagonal substitutions for all times at once; d_k > lam_k, so
-    neither pivots, and every step adds positive terms.
+    with x^T A = free0(t)^T.  With the factors of _renewal_factors, cached
+    per parameter set, a call is two banded back-substitutions (dgbtrs,
+    U^T then L^T) for all times at once, and every step adds positive terms.
     """
-    N, lam, mu, xi = p.N, p.lam, p.mu, p.xi
-    n = np.arange(-N, N + 1)
-    birth, death = lam * (N - n), mu * (N + n)
-    s, d = xi, [xi + lam * 2 * N]
-    for k in range(1, 2 * N + 1):
-        s = xi + mu * k * s / d[-1]
-        d.append(s + lam * (2 * N - k))
-    d = np.array(d)
-    ut = np.vstack([d, -birth])                        # U^T: d_k, and -lam_k below it
-    lt = np.vstack([-death / np.roll(d, 1), np.ones(2 * N + 1)])   # L^T: -mu_k/d_{k-1} above 1
-    x = solve_banded((0, 1), lt, solve_banded((1, 0), ut, free0.T))
-    return (xi * np.exp(-xi * times))[:, None] * x.T
+    x = free0.T
+    for lu, piv, kl, ku in _renewal_factors(p):
+        x, info = dgbtrs(lu, kl, ku, x, piv)
+        if info:
+            raise ValueError(f"illegal value in {-info}-th argument of internal gbtrs")
+    return (p.xi * np.exp(-p.xi * times))[:, None] * x.T
 
 
 def p_cat_closed_rows(p: ChainParams, j, grid) -> list[ProbVector]:
@@ -623,7 +641,7 @@ def fpt_moments_linear(p: ChainParams, j) -> tuple[float, float]:
     With 0 absorbing (catastrophes included), the moments solve A m = 1
     and A w = 2m, where A is a tridiagonal M-matrix with killing rate xi,
     rate toward_i to i-1 and away_i to i+1 (away_N = 0).  Elimination
-    from the far end takes the subtraction-free pivots of _renewal_tail:
+    from the far end takes the subtraction-free pivots of _renewal_factors:
     s_N = xi, s_i = xi + away_i s_{i+1}/d_{i+1} and d_i = s_i + toward_i,
     and both substitutions add only positive terms.  Works for any lam,
     mu and xi >= 0, unlike the density route; within 1e-13 relative of an

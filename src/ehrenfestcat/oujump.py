@@ -474,6 +474,15 @@ def m2_fpt_cat(d: DiffusionParams, y) -> float:
 
 
 def var_fpt_cat(d: DiffusionParams, y) -> float:
+    """Variance of the reset passage time, m2_fpt_cat - mean_fpt_cat^2 from one ratio call.
+
+    At alpha = 1.2, nu = 0.001, xi = 0.5, y = +-0.03 it (and the mean) is
+    within 1e-12 relative of mpmath for z_den = -sgn(y) beta sqrt(2/nu) in
+    [-80, 6], i.e. beta from 1.79 to -0.134 at y = 0.03; below -80 both
+    raise ValueError.  Past 6 the drift takes the start to 0 in a time short
+    against 1/xi, g nears 1, and the bracket of m2_fpt_cat and then m2 -
+    mean^2 cancel: at z_den = 44.7 (beta = -1) it is 1.8e-10 off.
+    """
     mean, m2 = _fpt_cat_moments(d, y, "var_fpt_cat")
     return m2 - mean**2
 

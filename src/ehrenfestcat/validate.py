@@ -148,8 +148,9 @@ def suite_chain(tol):
     dq = np.abs(qc - qq).max()
     checks.append(CheckResult("stationary closed vs quadrature", dq <= 1e-9, f"abs {dq:.2e}"))
 
-    dm = abs(eh.mean_cat(p, 6, 1.0) - eh.p_cat_closed_row(p, 6, 1.0).mean())
-    dv = abs(eh.m2_cat(p, 6, 1.0) - eh.p_cat_closed_row(p, 6, 1.0).second_moment())
+    row = eh.p_cat_closed_row(p, 6, 1.0)
+    dm = abs(eh.mean_cat(p, 6, 1.0) - row.mean())
+    dv = abs(eh.m2_cat(p, 6, 1.0) - row.second_moment())
     checks.append(CheckResult("moment identities", max(dm, dv) <= 1e-8, f"abs {max(dm, dv):.2e}"))
 
     mlin, _ = eh.fpt_moments_linear(p, 3)

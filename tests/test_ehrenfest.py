@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.linalg import expm, null_space
+from scipy.linalg import expm, null_space, solve_banded
 
 from ehrenfestcat import ehrenfest as eh
 
@@ -391,6 +391,59 @@ def test_p_cat_closed_rows_long_grid_at_n80():
         assert np.array_equal(rows[k].values, eh.p_cat_closed_row(p, 40, grid[k]).values)
         law = expm(Q.T * grid[k])[:, 40 + 80]
         assert rows[k].values == pytest.approx(law, rel=0, abs=1e-12)
+
+
+def _renewal_tail_by_solve_banded(p, times, free0):
+    # the GTH pivots and the U^T (1, 0) and L^T (0, 1) bands, solved by
+    # scipy.linalg.solve_banded (LAPACK gbsv) on every call
+    N, lam, mu, xi, n = p.N, p.lam, p.mu, p.xi, p.states
+    s, d = xi, [xi + lam * 2 * N]
+    for k in range(1, 2 * N + 1):
+        s = xi + mu * k * s / d[-1]
+        d.append(s + lam * (2 * N - k))
+    d = np.array(d)
+    ut = np.vstack([d, -lam * (N - n)])
+    lt = np.vstack([-mu * (N + n) / np.roll(d, 1), np.ones(2 * N + 1)])
+    x = solve_banded((0, 1), lt, solve_banded((1, 0), ut, free0.T))
+    return (xi * np.exp(-xi * times))[:, None] * x.T
+
+
+@pytest.mark.parametrize("N", [1, 2, 10, 80, 160])
+def test_renewal_tail_equals_solve_banded_bit_for_bit(N):
+    # the cached factors give the rows solve_banded gave, bit for bit:
+    # gbsv is gbtrf then gbtrs, and d_k > lam_k swaps no row
+    grid = np.array([2.0, 0.0, 0.3, 1e-3, 0.3, 10.0, 0.0])
+    live = grid > 0.0
+    t = grid[live]
+    for lam, mu in ((0.01, 1.0), (1.0, 1.0), (100.0, 1.0)):
+        for xi in (0.01, 5.0):
+            p = eh.ChainParams(N=N, lam=lam, mu=mu, xi=xi)
+            free0 = eh._free_rows(p, 0, t)
+            tail = _renewal_tail_by_solve_banded(p, t, free0)
+            assert np.array_equal(eh._renewal_tail(p, t, free0), tail)
+            q = _renewal_tail_by_solve_banded(p, np.zeros(1), eh._free_rows(p, 0, np.zeros(1)))[0]
+            assert np.array_equal(eh.q_cat_row(p).values, q)
+            for j in sorted({-N, -1, 0, 1, N}):
+                want = eh._free_rows(p, j, grid)
+                want[live] = q + np.exp(-xi * t)[:, None] * want[live] - tail
+                got = np.array([row.values for row in eh.p_cat_closed_rows(p, j, grid)])
+                assert np.array_equal(got, want), (lam, mu, xi, j)
+
+
+def test_renewal_factors_read_only_and_cached_without_thrashing():
+    # the nine parameter sets of the chain_large_n benchmark, twice round
+    params = [eh.ChainParams(N=N, lam=lam, mu=mu, xi=0.5)
+              for N in (20, 40, 80) for lam, mu in ((0.6, 0.6), (0.9, 0.3), (0.3, 0.9))]
+    eh._renewal_factors.cache_clear()
+    for _ in range(2):
+        for p in params:
+            eh.p_cat_closed_row(p, p.N // 2, 0.3)
+    info = eh._renewal_factors.cache_info()
+    assert (info.misses, info.currsize) == (9, 9)   # every miss still held: no eviction
+    for lu, piv, _, _ in eh._renewal_factors(params[0]):
+        for a in (lu, piv):
+            with pytest.raises(ValueError):
+                a[0] = 0
 
 
 def test_p_cat_closed_rows_memory_at_n160():

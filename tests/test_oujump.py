@@ -521,51 +521,77 @@ def test_m2_fpt_matches_density_quadrature():
     assert ou.m2_fpt_cat(D_SYM, 0.03) == pytest.approx(m2q, abs=1e-6)
 
 
-@pytest.mark.parametrize("beta", [0.0, 0.004, -0.01])
-def test_fpt_moments_vs_mpmath(beta):
-    # E[T^2] = (2/xi^2)(1 - g + xi g') with g the free transform at s = xi,
-    # in 30 digits with g' by mpmath.diff; at xi = 0.05 the bracket
-    # cancels to 1e-3 of its terms
+def _mp_fpt_moments(d, y, dps):
+    """(g, mean, second moment, variance) of the reset passage time in dps digits.
+
+    E[T^2] = (2/xi^2)(1 - g + xi g') with g the free transform at s = xi,
+    and g' by mpmath.diff.
+    """
     mpmath = pytest.importorskip("mpmath")
-    alpha, nu, y = 1.2, 0.001, 0.03
-    with mpmath.workdps(30):
-        sq = mpmath.sqrt(2 / mpmath.mpf(nu))
+    with mpmath.workdps(dps):
+        alpha, beta, nu, xi = map(mpmath.mpf, (d.alpha, d.beta, d.nu, d.xi))
+        sq, sgn, y = mpmath.sqrt(2 / nu), (1 if y > 0 else -1), mpmath.mpf(y)
 
         def g(s):
-            p = -s / alpha
-            return (mpmath.exp(y * (y - 2 * mpmath.mpf(beta)) / (2 * mpmath.mpf(nu)))
-                    * mpmath.pcfd(p, (y - mpmath.mpf(beta)) * sq) / mpmath.pcfd(p, -beta * sq))
+            return (mpmath.exp(y * (y - 2 * beta) / (2 * nu)) * mpmath.pcfd(-s / alpha, sgn * (y - beta) * sq)
+                    / mpmath.pcfd(-s / alpha, -sgn * beta * sq))
 
-        for xi in (0.05, 0.5, 5.0):
-            d = ou.DiffusionParams(alpha=alpha, beta=beta, nu=nu, xi=xi)
-            gx = g(mpmath.mpf(xi))
-            m1 = (1 - gx) / xi
-            m2 = 2 / mpmath.mpf(xi) ** 2 * (1 - gx + xi * mpmath.diff(g, mpmath.mpf(xi)))
-            assert ou.m2_fpt_cat(d, y) == pytest.approx(float(m2), rel=1e-12, abs=0), xi
-            assert ou.var_fpt_cat(d, y) == pytest.approx(float(m2 - m1 * m1), rel=1e-12, abs=0), xi
+        gx = g(xi)
+        m1 = (1 - gx) / xi
+        m2 = 2 / xi**2 * (1 - gx + xi * mpmath.diff(g, xi))
+        return float(gx), float(m1), float(m2), float(m2 - m1 * m1)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.004, -0.01])
+def test_fpt_moments_vs_mpmath(beta):
+    # in 30 digits; at xi = 0.05 the bracket of E[T^2] cancels to 1e-3 of its terms
+    for xi in (0.05, 0.5, 5.0):
+        d = ou.DiffusionParams(alpha=1.2, beta=beta, nu=0.001, xi=xi)
+        _, _, m2, var = _mp_fpt_moments(d, 0.03, 30)
+        assert ou.m2_fpt_cat(d, 0.03) == pytest.approx(m2, rel=1e-12, abs=0), xi
+        assert ou.var_fpt_cat(d, 0.03) == pytest.approx(var, rel=1e-12, abs=0), xi
 
 
 def test_fpt_moments_far_from_the_mean_vs_mpmath():
     # beta = 0.9 puts the cylinder arguments at z_num = -38.9 and
     # z_den = -40.2, past the linear D_p's edge (z > -37.4); the ratio is
     # formed in logs and is 8.9e-24 here
-    mpmath = pytest.importorskip("mpmath")
-    alpha, beta, nu, xi, y = 1.2, 0.9, 0.001, 0.5, 0.03
-    d = ou.DiffusionParams(alpha=alpha, beta=beta, nu=nu, xi=xi)
-    with mpmath.workdps(30):
-        sq = mpmath.sqrt(2 / mpmath.mpf(nu))
+    d = ou.DiffusionParams(alpha=1.2, beta=0.9, nu=0.001, xi=0.5)
+    g, mean, _, var = _mp_fpt_moments(d, 0.03, 30)
+    assert ou.fpt_laplace_free(d, 0.03, d.xi) == pytest.approx(g, rel=1e-13, abs=0)
+    assert ou.mean_fpt_cat(d, 0.03) == pytest.approx(mean, rel=1e-14, abs=0)
+    assert ou.var_fpt_cat(d, 0.03) == pytest.approx(var, rel=1e-12, abs=0)
 
-        def g(s):
-            p = -s / alpha
-            return (mpmath.exp(y * (y - 2 * mpmath.mpf(beta)) / (2 * mpmath.mpf(nu)))
-                    * mpmath.pcfd(p, (y - mpmath.mpf(beta)) * sq) / mpmath.pcfd(p, -beta * sq))
 
-        gx = g(mpmath.mpf(xi))
-        m1 = (1 - gx) / xi
-        m2 = 2 / mpmath.mpf(xi) ** 2 * (1 - gx + xi * mpmath.diff(g, mpmath.mpf(xi)))
-    assert ou.fpt_laplace_free(d, y, xi) == pytest.approx(float(gx), rel=1e-13, abs=0)
-    assert ou.mean_fpt_cat(d, y) == pytest.approx(float(m1), rel=1e-14, abs=0)
-    assert ou.var_fpt_cat(d, y) == pytest.approx(float(m2 - m1 * m1), rel=1e-12, abs=0)
+@pytest.mark.parametrize("y", [0.03, -0.03])
+@pytest.mark.parametrize("z_den", [-80.0, -79.9, 6.0])
+def test_fpt_moments_at_the_edges_of_their_region_vs_mpmath(z_den, y):
+    # the region var_fpt_cat states at alpha = 1.2, nu = 0.001, xi = 0.5:
+    # z_den = -sgn(y) beta sqrt(2/nu) from the log D_p guard at -80 (a
+    # passage against the drift, beta ~ 1.79) to 6, a start drifting
+    # toward 0; y = -0.03 mirrors y = 0.03 with beta -> -beta
+    beta = -math.copysign(1.0, y) * z_den / math.sqrt(2.0 / 0.001)
+    d = ou.DiffusionParams(alpha=1.2, beta=beta, nu=0.001, xi=0.5)
+    assert ou._fpt_free_args(d, y)[2] == pytest.approx(z_den, rel=1e-15)
+    _, mean, _, var = _mp_fpt_moments(d, y, 40)
+    assert ou.mean_fpt_cat(d, y) == pytest.approx(mean, rel=1e-12, abs=0)
+    assert ou.var_fpt_cat(d, y) == pytest.approx(var, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("y", [0.03, -0.03])
+def test_fpt_moments_past_their_region(y):
+    # just past z_den = -80 both moments refuse the start; far past
+    # z_den = 6 (z_den = 44.7, z_num = 46.1) the variance keeps the loss
+    # its docstring states
+    sq = math.sqrt(2.0 / 0.001)
+    d = ou.DiffusionParams(alpha=1.2, beta=math.copysign(80.01 / sq, y), nu=0.001, xi=0.5)
+    for moment in (ou.mean_fpt_cat, ou.var_fpt_cat):
+        with pytest.raises(ValueError):
+            moment(d, y)
+    d = dataclasses.replace(d, beta=-math.copysign(1.0, y))
+    _, mean, _, var = _mp_fpt_moments(d, y, 40)
+    assert ou.mean_fpt_cat(d, y) == pytest.approx(mean, rel=1e-13, abs=0)
+    assert ou.var_fpt_cat(d, y) == pytest.approx(var, rel=1e-9, abs=0)
 
 
 def test_mean_fpt_decreasing_in_xi():
