@@ -192,7 +192,7 @@ def cmd_simulate(args):
 
 def cmd_validate(args):
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    run_suites(names, tol=args.tol)
+    run_suites(names)
 
 
 # ----------------------------------------------------------------------
@@ -436,7 +436,6 @@ def build_parser():
 
     sp = sub.add_parser("validate", help="run the numerical validation suites")
     sp.add_argument("--suite", choices=list(SUITES) + ["all"], default="all")
-    sp.add_argument("--tol", type=float, default=1e-7)
     sp.set_defaults(func=cmd_validate)
 
     sp = sub.add_parser("simulate", help="Monte Carlo estimates")

@@ -74,12 +74,14 @@ class DiffusionParams:
     xi: float = 0.0
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not self.nu > 0.0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
-        if self.xi < 0.0:
-            raise ValueError(f"xi must be non-negative, got {self.xi}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
+        if not 0.0 < self.nu < math.inf:
+            raise ValueError(f"nu must be positive and finite, got {self.nu}")
+        if not 0.0 <= self.xi < math.inf:
+            raise ValueError(f"xi must be non-negative and finite, got {self.xi}")
 
     @property
     def is_symmetric(self):
@@ -94,8 +96,8 @@ class ScalingMap:
     chain: ChainParams
 
     def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
 
     @property
     def gamma_drift(self):

@@ -4,7 +4,8 @@ The Kummer function Psi(1, 1/2 - k; x) of the reset-density series, and
 the parabolic cylinder function D_p for non-positive real order (with
 its log and its order derivative) and for complex order.  The
 terminating Appell F1 sum, the paper's form of the chain's stationary
-law, stays for its tests and for benchmark/trace_targets.py.
+law, is exact; no library route calls it: the tests build that form
+from it to check ehrenfest.q_cat_row, and benchmark/trace_targets.py patches it.
 
 Real-order D_p has one route at every z: its positive-integrand
 integral representation, summed by a trapezoid rule on fixed nodes in
@@ -52,32 +53,8 @@ DEFAULT_SERIES = SeriesControl()
 DP_Z_SWITCH = 0.0
 
 
-def _kahan(terms):
-    """Compensated sum of an iterable of floats."""
-    total = 0.0
-    carry = 0.0
-    for t in terms:
-        y = t - carry
-        tmp = total + y
-        carry = (tmp - total) - y
-        total = tmp
-    return total
-
-
-def _as_nonpositive_int(b, name):
-    m = round(b)
-    if abs(b - m) > 1e-9 or m > 0:
-        raise ValueError(f"{name} must be a non-positive integer, got {b}")
-    return int(m)
-
-
-#: relative accuracy asked of the terminating Appell F1 sum; when the
-#: rounding estimate of the float sum is worse, it is summed exactly
-F1_REL_TARGET = 1e-12
-
-
 def appell_f1_terminating(a, b, c, d, x, y):
-    """Appell F1(a; b, c; d; x, y) for non-positive integers b and c.
+    """Appell F1(a; b, c; d; x, y) for non-positive integers b and c, correctly rounded.
 
     Evaluates the finite double sum
 
@@ -86,47 +63,29 @@ def appell_f1_terminating(a, b, c, d, x, y):
 
     which terminates in both indices and is therefore valid for all real
     x, y (the series definition's |x|,|y| < 1 restriction does not apply).
-
-    The terms are summed in floating point first, with ``sum|t|`` kept
-    beside the compensated sum.  A term is reached by at most ``-b - c``
-    recurrence steps of a few roundings each, so the rounding error is a
-    small multiple of ``(1 - b - c) * eps * sum|t|``.  The float sum is
-    returned while that estimate stays within ``F1_REL_TARGET * |sum|``,
-    which keeps it within about 1e-11 relative.  Otherwise (an alternating
-    sum that cancels, down to an exact zero) the double sum is evaluated
-    again in exact rational arithmetic: b and c are integers and every
-    float is a binary rational, so the result is then the correctly
-    rounded value of the sum.  Sums whose terms share one sign (such as
-    the chain's stationary law in its F1 form) take that route only beyond
-    ``1 - b - c = F1_REL_TARGET / eps``, about 4500.
+    Every float is a binary rational, so the sum is taken in exact rational
+    arithmetic, each term from the one before by the ratio of its
+    Pochhammer symbols, and rounded to a float once: cancelling sums, down
+    to an exact zero, lose nothing.
     """
-    mb = -_as_nonpositive_int(b, "b")
-    nc = -_as_nonpositive_int(c, "c")
+    mb, nc = -round(b), -round(c)
+    for name, v, k in (("b", b, mb), ("c", c, nc)):
+        if abs(v + k) > 1e-9 or k < 0:
+            raise ValueError(f"{name} must be a non-positive integer, got {v}")
     dr = round(d)
     if abs(d - dr) < 1e-12 and dr <= 0 and -dr < mb + nc:
         raise ValueError(f"d={d} hits a pole before the double sum terminates")
-    terms = _f1_terms(a, mb, nc, d, x, y, 1.0)
-    total = _kahan(terms)
-    rounding = (1 + mb + nc) * math.ulp(1.0) * math.fsum(map(abs, terms))
-    if rounding <= F1_REL_TARGET * abs(total):
-        return total
     a, d, x, y = map(Fraction, (a, d, x, y))
-    return float(sum(_f1_terms(a, mb, nc, d, x, y, Fraction(1))))
-
-
-def _f1_terms(a, mb, nc, d, x, y, one):
-    """Terms of the F1 double sum with b = -mb, c = -nc, in the type of ``one``."""
-    terms = []
-    row = one  # (a)_m (b)_m / (d)_m x^m / m!  at current m, n = 0
+    total, row = Fraction(0), Fraction(1)  # row: the term at (m, 0)
     for m in range(mb + 1):
         t = row
         for n in range(nc + 1):
-            terms.append(t)
+            total += t
             if n < nc:
-                t *= (a + m + n) * (n - nc) / ((d + m + n) * (n + 1)) * y
+                t *= (a + m + n) * (n - nc) * y / ((d + m + n) * (n + 1))
         if m < mb:
-            row *= (a + m) * (m - mb) / ((d + m) * (m + 1)) * x
-    return terms
+            row *= (a + m) * (m - mb) * x / ((d + m) * (m + 1))
+    return float(total)
 
 
 #: below this argument the incomplete-gamma continued fraction for the

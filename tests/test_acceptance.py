@@ -334,7 +334,7 @@ def test_criterion_8_monte_carlo_concordance(tmp_path):
 
 
 def test_criterion_9_special_function_suite():
-    results = val.suite_specfun(1e-7)
+    results = val.suite_specfun()
     for check in results:
         assert check.passed, f"{check.name}: {check.detail}"
     print("\n[PASS] criterion 9: special-function invariants "

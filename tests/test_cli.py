@@ -135,6 +135,18 @@ def test_parameter_error_exit_code(tmp_path):
     assert "positive integer" in proc.stderr
 
 
+@pytest.mark.parametrize("flag, value", [("--xi", "nan"), ("--xi", "inf"), ("--lambda", "inf"),
+                                         ("--mu", "nan")])
+def test_non_finite_parameter_exit_code(tmp_path, flag, value):
+    # --xi nan once wrote the catastrophe-free law as q_n and exited 0
+    argv = ["qn", "--N", "10", "--lambda", "0.6", "--mu", "0.6", "--xi", "0.5"]
+    argv[argv.index(flag) + 1] = value
+    proc = run_cli(argv, tmp_path=tmp_path, check=False)
+    assert proc.returncode == 2
+    assert "must be" in proc.stderr and "finite" in proc.stderr
+    assert not (tmp_path / "qn.csv").exists()
+
+
 def test_unknown_argument_exit_code(tmp_path):
     proc = run_cli(["qn", "--bogus", "1"], tmp_path=tmp_path, check=False)
     assert proc.returncode == 2

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm, null_space, solve_banded
 
 from ehrenfestcat import ehrenfest as eh
+from ehrenfestcat import specfun as sf
 
 P_SYM = eh.ChainParams(N=10, lam=0.6, mu=0.6, xi=0.5)
 P_ASYM = eh.ChainParams(N=10, lam=0.2, mu=0.6, xi=0.5)
@@ -32,6 +33,23 @@ def test_params_validation():
     with pytest.raises(ValueError):
         eh.ChainParams(N=3, lam=1.0, mu=1.0, xi=-0.1)
     assert eh.ChainParams(N=3, lam=0.6, mu=0.2).rho == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("field, bad", [("N", math.inf), ("N", math.nan), ("N", 2.0), ("N", "2"),
+                                        ("lam", math.inf), ("lam", math.nan), ("mu", math.inf),
+                                        ("mu", math.nan), ("xi", math.inf), ("xi", math.nan)])
+def test_params_reject_non_finite_and_non_integer(field, bad):
+    # xi = nan once gave the catastrophe-free laws, N = inf an OverflowError
+    # and N = 2.0 a TypeError in every law
+    args = dict(N=2, lam=0.6, mu=0.6, xi=0.5) | {field: bad}
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        eh.ChainParams(**args)
+
+
+@pytest.mark.parametrize("n", [math.inf, -math.inf, math.nan, 1.5, 3, 10**400])
+def test_check_state_rejects_non_states(n):
+    with pytest.raises(ValueError, match="^j=.* outside the state space"):
+        eh.ChainParams(N=2, lam=0.6, mu=0.6).check_state(n, "j")
 
 
 def test_probvector_validation():
@@ -218,6 +236,41 @@ def test_q_cat_closed_small_case():
     assert q.prob(0) == pytest.approx(17.0 / 29.0, rel=1e-12)
     assert q.prob(1) == pytest.approx(6.0 / 29.0, rel=1e-12)
     assert eh.q_cat_quadrature_row(p).prob(0) == pytest.approx(17.0 / 29.0, rel=1e-9)
+
+
+def _q_cat_paper_form(p):
+    """The paper's stationary law, each entry a positive sum of exact Appell F1 values.
+
+    q_n = xi lam^{N+n} mu^{N-n} / (lam+mu)^{2N+1} sum_i C(N,i) C(N,N+n-i)
+          B(2N+n-2i+1, a) F1(a; -i, n-i; a+2N+n-2i+1; -mu/lam, -lam/mu),
+
+    a = xi/(lam+mu), summed in logs.
+    """
+    N, lam, mu, xi = p.N, p.lam, p.mu, p.xi
+    a = xi / (lam + mu)
+    out = np.empty(2 * N + 1)
+    for n in range(-N, N + 1):
+        logs = []
+        for i in range(max(0, n), min(N, N + n) + 1):
+            m = 2 * N + n - 2 * i
+            f1 = sf.appell_f1_terminating(a, -i, n - i, a + m + 1, -mu / lam, -lam / mu)
+            logs.append(math.log(math.comb(N, i) * math.comb(N, N + n - i)) + math.lgamma(m + 1)
+                        + math.lgamma(a) - math.lgamma(m + 1 + a) + math.log(f1))
+        top = max(logs)
+        out[n + N] = math.exp(math.log(xi) + (N + n) * math.log(lam) + (N - n) * math.log(mu)
+                              - (2 * N + 1) * math.log(lam + mu) + top
+                              + math.log(math.fsum(math.exp(v - top) for v in logs)))
+    return out
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 10])
+def test_q_cat_row_vs_paper_appell_form(N):
+    # the renewal-tail solve against the paper's F1 form, entry by entry;
+    # measured at most 2.0e-14 relative (1.0e-14 absolute)
+    for rho in (1.0, 3.0, 1.0 / 3.0, 0.01, 100.0):
+        for xi in (0.01, 0.5, 5.0):
+            p = eh.ChainParams(N=N, lam=0.6 * rho, mu=0.6, xi=xi)
+            assert eh.q_cat_row(p).values == pytest.approx(_q_cat_paper_form(p), rel=1e-13, abs=0), (rho, xi)
 
 
 def test_q_cat_closed_vs_quadrature_sweep():

@@ -25,6 +25,17 @@ def test_params_validation():
         ou.ScalingMap(0.0, eh.ChainParams(N=2, lam=1.0, mu=1.0))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_params_reject_non_finite(bad):
+    # beta = nan and xi = nan were once accepted
+    for field in ("alpha", "beta", "nu", "xi"):
+        args = dict(alpha=1.2, beta=0.0, nu=0.001, xi=0.5) | {field: bad}
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ou.DiffusionParams(**args)
+    with pytest.raises(ValueError, match="^epsilon must be"):
+        ou.ScalingMap(bad, eh.ChainParams(N=2, lam=1.0, mu=1.0))
+
+
 def test_scale_params_symmetric_case():
     p = eh.ChainParams(N=10, lam=0.6, mu=0.6, xi=0.5)
     d = ou.scale_params(ou.ScalingMap(0.01, p))

@@ -1,8 +1,7 @@
 """Special-function checks against independent oracles.
 
-Oracles: exact rational arithmetic (fractions) for the terminating sums,
-mpmath at high precision, classical identities (erf, erfc), and frozen
-values computed from those oracles.
+Oracles: mpmath at high precision, classical identities (erf, erfc), and
+frozen values computed from those oracles.
 """
 
 import itertools
@@ -16,7 +15,6 @@ from scipy.special import erfi
 
 from ehrenfestcat import oujump as ou
 from ehrenfestcat import specfun as sf
-from ehrenfestcat.validate import _f1_bruteforce
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -38,12 +36,16 @@ def test_appell_f1_trivial():
     x=st.floats(-4.0, 4.0),
     y=st.floats(-4.0, 4.0),
 )
-# the exact value is 0; the float sum alone cancels to 1.6e-13
+# the exact value is 0; a float sum of the terms cancels to 1.6e-13
 @example(a=1.0, b=-5, c=-8, d=1.0, x=1.0, y=1.5)
-def test_appell_f1_matches_exact_rational(a, b, c, d, x, y):
+def test_appell_f1_vs_mpmath(a, b, c, d, x, y):
+    # the sum is exact and rounded once, so within half an ulp of the true
+    # value, and mpmath's value rounds to a float at most one ulp away: the
+    # terms reach 3e15 on this box, so 40 digits hold it to 1e-24 absolute
     got = sf.appell_f1_terminating(a, b, c, d, x, y)
-    ref = _f1_bruteforce(a, b, c, d, x, y)
-    assert got == pytest.approx(ref, rel=1e-11, abs=1e-13)
+    with mpmath.workdps(40):
+        ref = float(mpmath.appellf1(a, b, c, d, x, y))
+    assert got == pytest.approx(ref, rel=2.3e-16, abs=1e-20)
 
 
 def test_appell_f1_stationary_law_arguments():
