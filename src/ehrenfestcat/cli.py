@@ -244,9 +244,9 @@ def _figure_columns(fig_id):
         for xi in _FIG_XI_LIST:
             p = eh.ChainParams(N=N, lam=lam, mu=mu, xi=xi)
             f = eh.mean_cat if which == "mean" else eh.var_cat
-            cols[f"{which}_xi{xi}"] = [f(p, j, float(t)) for t in grid]
+            cols[f"{which}_xi{xi}"] = [f(p, j, t) for t in grid.tolist()]
         ffree = eh.mean_free if which == "mean" else eh.var_free
-        cols[f"{which}_free"] = [ffree(pfree, j, float(t)) for t in grid]
+        cols[f"{which}_free"] = [ffree(pfree, j, t) for t in grid.tolist()]
         return {"N": N, "lambda": lam, "mu": mu, "j": j, "quantity": which}, cols
 
     if fig_id in _FIG5:
@@ -287,11 +287,11 @@ def _figure_columns(fig_id):
             p = eh.ChainParams(N=N, lam=lam, mu=mu, xi=xi)
             d = ou.scale_params(ou.ScalingMap(eps, p))
             if which == "mean":
-                cols[f"chain_xi{xi}"] = [eh.mean_cat(p, j, float(t)) for t in grid]
-                cols[f"diffusion_xi{xi}"] = [ou.mean_cat_x(d, y, float(t)) / eps for t in grid]
+                cols[f"chain_xi{xi}"] = [eh.mean_cat(p, j, t) for t in grid.tolist()]
+                cols[f"diffusion_xi{xi}"] = [ou.mean_cat_x(d, y, t) / eps for t in grid.tolist()]
             else:
-                cols[f"chain_xi{xi}"] = [eh.var_cat(p, j, float(t)) for t in grid]
-                cols[f"diffusion_xi{xi}"] = [ou.var_cat_x(d, y, float(t)) / eps**2 for t in grid]
+                cols[f"chain_xi{xi}"] = [eh.var_cat(p, j, t) for t in grid.tolist()]
+                cols[f"diffusion_xi{xi}"] = [ou.var_cat_x(d, y, t) / eps**2 for t in grid.tolist()]
         return {"N": N, "lambda": lam, "mu": mu, "j": j, "epsilon": eps, "quantity": which}, cols
 
     if fig_id in _FIG8:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -86,14 +87,10 @@ class ChainParams:
     xi: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.N, numbers.Integral) or self.N < 1:
-            raise ValueError(f"N must be a positive integer, got {self.N!r}")
-        if not 0.0 < self.lam < math.inf:
-            raise ValueError(f"lam must be positive and finite, got {self.lam}")
-        if not 0.0 < self.mu < math.inf:
-            raise ValueError(f"mu must be positive and finite, got {self.mu}")
-        if not 0.0 <= self.xi < math.inf:
-            raise ValueError(f"xi must be non-negative and finite, got {self.xi}")
+        _check_int("N", self.N, "positive")
+        _check_real("lam", self.lam, "positive")
+        _check_real("mu", self.mu, "positive")
+        _check_real("xi", self.xi, "non-negative")
 
     @property
     def rho(self):
@@ -108,9 +105,40 @@ class ChainParams:
         return np.arange(-self.N, self.N + 1)
 
     def check_state(self, n, name="state"):
+        if type(n) is int and -self.N <= n <= self.N:  # the scalar moments' case, in two comparisons
+            return n
         if not abs(n) <= self.N or n != int(n):
             raise ValueError(f"{name}={n} outside the state space -{self.N}..{self.N}")
         return int(n)
+
+
+#: the sign rules of _check_real and _check_int, by name: value <op> 0
+_SIGNS = {"positive": operator.gt, "non-negative": operator.ge, "nonzero": operator.ne}
+
+
+def _check_real(name, value, sign=None):
+    """value if finite and meeting the _SIGNS rule sign (if any), else ValueError naming name and value.
+
+    The contract of every real argument of ehrenfest, oujump and mc.  A float (numpy's float64
+    too) takes math.isfinite and one comparison, the scalar moments' path; any other value is
+    checked entry by entry as an array and returned as a float array."""
+    if isinstance(value, float):
+        if math.isfinite(value) and (sign is None or _SIGNS[sign](value, 0.0)):
+            return value
+    else:
+        a = np.asarray(value)
+        ok = np.isfinite(a) if sign is None else np.isfinite(a) & _SIGNS[sign](a, 0.0)
+        if ok.all():
+            return np.asarray(a, dtype=float)
+        value = a[~ok][0]    # the first offending entry
+    raise ValueError(f"{name} must be finite{'' if sign is None else ' and ' + sign}, got {value}")
+
+
+def _check_int(name, value, sign="non-negative"):
+    """value as an int, if it is an integer (numbers.Integral) meeting the _SIGNS rule sign, else ValueError."""
+    if isinstance(value, numbers.Integral) and _SIGNS[sign](value, 0):
+        return int(value)
+    raise ValueError(f"{name} must be a {sign} integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -181,7 +209,7 @@ def rates(p: ChainParams, k) -> list[tuple[int, float]]:
     k != 0.  The edges from +-1 into 0 merge the drift and catastrophe
     contributions, so e.g. the rate from -1 to 0 is lam*(N+1) + xi.
     """
-    k = p.check_state(k)
+    k = p.check_state(k, "k")
     N, lam, mu, xi = p.N, p.lam, p.mu, p.xi
     out: list[tuple[int, float]] = []
     if k < N:
@@ -216,21 +244,16 @@ def generator_matrix(p: ChainParams) -> np.ndarray:
 
 def b1(p: ChainParams, t):
     """Success probability of the size N+j binomial component at time t."""
-    _check_time(t)
+    _check_real("t", t, "non-negative")
     d = p.lam + p.mu
     return (p.lam + p.mu * math.exp(-d * t)) / d
 
 
 def b2(p: ChainParams, t):
     """Success probability of the size N-j binomial component at time t."""
-    _check_time(t)
+    _check_real("t", t, "non-negative")
     d = p.lam + p.mu
     return p.lam * (1.0 - math.exp(-d * t)) / d
-
-
-def _check_time(t):
-    if t < 0.0:
-        raise ValueError(f"time must be non-negative, got {t}")
 
 
 @lru_cache(maxsize=512)
@@ -252,17 +275,7 @@ def p_free_row(p: ChainParams, j, t) -> ProbVector:
     is a sum of positive products (see _free_rows).
     """
     j = p.check_state(j, "j")
-    return ProbVector(p.N, _free_rows(p, j, _check_times([t]))[0])
-
-
-def _check_times(grid) -> np.ndarray:
-    """The grid as a float array of finite, non-negative times (any order)."""
-    times = np.asarray(grid, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("grid must be a non-empty 1-D array")
-    if not np.all(np.isfinite(times)) or times.min() < 0.0:
-        raise ValueError(f"times must be finite and non-negative, got {times.min()}")
-    return times
+    return ProbVector(p.N, _free_rows(p, j, _check_real("t", [t], "non-negative"))[0])
 
 
 def _free_rows(p: ChainParams, j: int, times: np.ndarray) -> np.ndarray:
@@ -323,7 +336,7 @@ def q_free_var(p: ChainParams) -> float:
 def mean_free(p: ChainParams, j, t) -> float:
     """Conditional mean of the catastrophe-free chain."""
     j = p.check_state(j, "j")
-    _check_time(t)
+    _check_real("t", t, "non-negative")
     d = p.lam + p.mu
     e = math.exp(-d * t)
     return j * e + (p.lam - p.mu) * p.N / d * (1.0 - e)
@@ -332,7 +345,7 @@ def mean_free(p: ChainParams, j, t) -> float:
 def var_free(p: ChainParams, j, t) -> float:
     """Conditional variance of the catastrophe-free chain."""
     j = p.check_state(j, "j")
-    _check_time(t)
+    _check_real("t", t, "non-negative")
     N, lam, mu = p.N, p.lam, p.mu
     d = lam + mu
     e = math.exp(-d * t)
@@ -472,7 +485,9 @@ def p_cat_closed_rows(p: ChainParams, j, grid) -> list[ProbVector]:
     p_cat_quadrature_row at N = 40 and t in {1e-3, 0.01}.
     """
     j = p.check_state(j, "j")
-    times = _check_times(grid)
+    times = _check_real("grid", grid, "non-negative")
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("grid must be a non-empty 1-D array")
     rows = _free_rows(p, j, times)
     live = times > 0.0
     if p.xi > 0.0 and live.any():
@@ -485,7 +500,7 @@ def p_cat_closed_rows(p: ChainParams, j, grid) -> list[ProbVector]:
 
 def p_cat_closed_row(p: ChainParams, j, t) -> ProbVector:
     """Transient law with catastrophes at time t, started at j: p_cat_closed_rows at one time."""
-    return p_cat_closed_rows(p, j, [t])[0]
+    return p_cat_closed_rows(p, j, [_check_real("t", t, "non-negative")])[0]
 
 
 def p_cat_quadrature_row(p: ChainParams, j, t) -> ProbVector:
@@ -496,7 +511,7 @@ def p_cat_quadrature_row(p: ChainParams, j, t) -> ProbVector:
     (see _renewal_quadrature).
     """
     j = p.check_state(j, "j")
-    _check_time(t)
+    _check_real("t", t, "non-negative")
     ptilde = p_free_row(p, j, t).values
     if p.xi == 0.0 or t == 0.0:
         return ProbVector(p.N, ptilde)
@@ -512,9 +527,9 @@ def ode_transient(p: ChainParams, j, grid) -> list[ProbVector]:
     closed-form routes.
     """
     j = p.check_state(j, "j")
-    grid = _check_times(grid)
-    if not np.all(np.diff(grid) > 0):
-        raise ValueError("grid must be increasing")
+    grid = _check_real("grid", grid, "non-negative")
+    if grid.ndim != 1 or grid.size == 0 or not np.all(np.diff(grid) > 0):
+        raise ValueError("grid must be a non-empty increasing 1-D array")
     size = 2 * p.N + 1
     y0 = np.zeros(size)
     y0[j + p.N] = 1.0
@@ -543,10 +558,9 @@ def ode_transient(p: ChainParams, j, grid) -> list[ProbVector]:
 def mean_cat(p: ChainParams, j, t) -> float:
     """Conditional mean of the chain with catastrophes."""
     j = p.check_state(j, "j")
-    _check_time(t)
-    r = p.lam + p.mu + p.xi
-    e = math.exp(-r * t)
-    return j * e + (p.lam - p.mu) * p.N / r * (1.0 - e)
+    _check_real("t", t, "non-negative")
+    e = math.exp(-(p.lam + p.mu + p.xi) * t)
+    return j * e + mean_cat_limit(p) * (1.0 - e)
 
 
 def mean_cat_limit(p: ChainParams) -> float:
@@ -556,12 +570,11 @@ def mean_cat_limit(p: ChainParams) -> float:
 def m2_cat(p: ChainParams, j, t) -> float:
     """Conditional second moment of the chain with catastrophes."""
     j = p.check_state(j, "j")
-    _check_time(t)
+    _check_real("t", t, "non-negative")
     N, lam, mu, xi = p.N, p.lam, p.mu, p.xi
     d = lam + mu
     r1 = d + xi
     r2 = 2.0 * d + xi
-    t1 = N * (4.0 * lam * mu + 2.0 * N * (mu - lam) ** 2 + xi * d) / (r1 * r2)
     t2 = (mu - lam) * (1.0 - 2.0 * N) * (N * (mu - lam) + j * r1) / (d * r1)
     t3 = (
         2.0 * N**2 * (mu - lam) ** 2
@@ -573,7 +586,7 @@ def m2_cat(p: ChainParams, j, t) -> float:
         + 2.0 * j**2 * d**2
         + j**2 * xi * d
     ) / (d * r2)
-    return t1 + t2 * math.exp(-r1 * t) + t3 * math.exp(-r2 * t)
+    return m2_cat_limit(p) + t2 * math.exp(-r1 * t) + t3 * math.exp(-r2 * t)
 
 
 def m2_cat_limit(p: ChainParams) -> float:
@@ -606,7 +619,7 @@ def _free_passage_sym(p: ChainParams, j, times) -> tuple[np.ndarray, np.ndarray]
     j = p.check_state(j, "j")
     if j == 0:
         raise ValueError("first-passage time from j = 0 is degenerate")
-    v = _free_rows(p, j, _check_times(times))
+    v = _free_rows(p, j, times)
     N = p.N
     above, below = v[:, N + 1:], v[:, N - 1::-1]    # states n and -n, n = 1..N
     ahead, behind = (above, below) if j > 0 else (below, above)
@@ -615,7 +628,7 @@ def _free_passage_sym(p: ChainParams, j, times) -> tuple[np.ndarray, np.ndarray]
 
 def fpt_density_cat(p: ChainParams, j, t) -> float:
     """First-passage density through 0 with catastrophes (lam == mu): fpt_density_cat_curve at one time."""
-    return float(fpt_density_cat_curve(p, j, [t]).samples[0])
+    return float(fpt_density_cat_curve(p, j, [_check_real("t", t, "non-negative")]).samples[0])
 
 
 def fpt_density_cat_curve(p: ChainParams, j, grid) -> Curve:
@@ -629,7 +642,9 @@ def fpt_density_cat_curve(p: ChainParams, j, grid) -> Curve:
     with 0 absorbing it agrees to 1e-9 relative over N in {10, 40};
     fpt_moments_linear is the independent oracle of its moments.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = _check_real("grid", grid, "non-negative")
+    if grid.ndim != 1:
+        raise ValueError("grid must be a 1-D array")
     g, survival = _free_passage_sym(p, j, grid)
     return Curve(grid, np.exp(-p.xi * grid) * (g + p.xi * survival))
 
@@ -682,5 +697,5 @@ def fpt_moments_linear(p: ChainParams, j) -> tuple[float, float]:
 
 def default_time_grid(p: ChainParams, n_points=400, horizon=None) -> np.ndarray:
     """Uniform grid resolving the transients, [0, 10/(lam+mu+xi)] by default."""
-    T = horizon if horizon is not None else 10.0 / (p.lam + p.mu + p.xi)
-    return np.linspace(0.0, T, n_points)
+    T = 10.0 / (p.lam + p.mu + p.xi) if horizon is None else _check_real("horizon", horizon, "non-negative")
+    return np.linspace(0.0, T, _check_int("n_points", n_points, "positive"))

@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtri
 
-from .ehrenfest import ChainParams, Curve, ProbVector, rates
+from .ehrenfest import ChainParams, Curve, ProbVector, _check_int, _check_real, rates
 from .oujump import DiffusionParams
 
 __all__ = [
@@ -81,7 +81,9 @@ class SimConfig:
     """Simulation budget: seed, path count, optional horizon and FPT grid step.
 
     horizon and fpt_grid_dt default to model-dependent values, see
-    default_horizon / default_fpt_grid_dt.
+    default_horizon / default_fpt_grid_dt.  horizon = inf is valid and
+    means no censoring: estimate_fpt takes it, and the path simulators,
+    whose paths would not end, raise ValueError.
     """
 
     seed: int
@@ -90,14 +92,13 @@ class SimConfig:
     fpt_grid_dt: float | None = None
 
     def __post_init__(self):
-        if not 0 <= self.seed < 2**64:
+        if _check_int("seed", self.seed) >= 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
-        if self.n_paths < 1:
-            raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
+        _check_int("n_paths", self.n_paths, "positive")
         if self.horizon is not None and not self.horizon > 0.0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if self.fpt_grid_dt is not None and not self.fpt_grid_dt > 0.0:
-            raise ValueError(f"fpt_grid_dt must be positive, got {self.fpt_grid_dt}")
+        if self.fpt_grid_dt is not None:
+            _check_real("fpt_grid_dt", self.fpt_grid_dt, "positive")
 
 
 @dataclass(frozen=True)
@@ -311,9 +312,9 @@ def simulate_chain_path(p: ChainParams, j, cfg: SimConfig, path_index) -> ChainP
     run on the one lane `path_index`, recording its jumps.
     """
     j = p.check_state(j, "j")
-    horizon = cfg.horizon if cfg.horizon is not None else default_horizon(p)
+    horizon = _check_real("horizon", cfg.horizon if cfg.horizon is not None else default_horizon(p))
     trace = []
-    _chain_lanes(p, j, cfg.seed, np.array([path_index]), horizon, trace=trace)
+    _chain_lanes(p, j, cfg.seed, np.array([_check_int("path_index", path_index)]), horizon, trace=trace)
     times = [0.0] + [float(c[0]) for _, c, _ in trace]
     states = [j] + [int(k[0]) - p.N for _, _, k in trace]
     return ChainPath(np.array(times), np.array(states, dtype=np.int64))
@@ -331,8 +332,8 @@ def simulate_chain_path_clock(p: ChainParams, j, cfg: SimConfig, path_index) -> 
     the chain already sits at 0 are invisible and not recorded).
     """
     j = p.check_state(j, "j")
-    horizon = cfg.horizon if cfg.horizon is not None else default_horizon(p)
-    rng = _clock_streams(cfg.seed).at(path_index)
+    horizon = _check_real("horizon", cfg.horizon if cfg.horizon is not None else default_horizon(p))
+    rng = _clock_streams(cfg.seed).at(_check_int("path_index", path_index))
     targets, cum, total = (table.tolist() for table in _chain_table(replace(p, xi=0.0)))
     times = [0.0]
     states = [j]
@@ -366,8 +367,8 @@ def estimate_chain_law(p: ChainParams, j, t, cfg: SimConfig) -> LawEstimate:
     """Empirical law of M(t) over cfg.n_paths independent paths."""
     j = p.check_state(j, "j")
     horizon = cfg.horizon if cfg.horizon is not None else default_horizon(p)
-    if not 0.0 <= t <= horizon:
-        raise ValueError(f"t={t} is outside [0, horizon={horizon}]")
+    if _check_real("t", t, "non-negative") > horizon:
+        raise ValueError(f"t={t} is past the horizon {horizon}")
     # the state held at t is the one a lane holds at its first event time > t
     until = np.nextafter(t, np.inf)
     state, _ = _chain_lanes(p, j, cfg.seed, np.arange(cfg.n_paths), until)
@@ -401,14 +402,13 @@ def simulate_ou_path(d: DiffusionParams, y, cfg: SimConfig, path_index) -> OuPat
     last reset epoch in it; any other step is the exact transition.  Kept
     as the scalar cross-check of the estimators' kernels.
     """
-    if not math.isfinite(y):
-        raise ValueError(f"start must be finite, got {y}")
-    horizon = cfg.horizon if cfg.horizon is not None else default_horizon(d)
+    _check_real("y", y)
+    horizon = _check_real("horizon", cfg.horizon if cfg.horizon is not None else default_horizon(d))
     dt = cfg.fpt_grid_dt if cfg.fpt_grid_dt is not None else default_fpt_grid_dt(d)
     n_steps = int(math.ceil(horizon / dt - 1e-12))
     streams = _LaneStreams(cfg.seed)
     # the reset clock has a generator of its own: `streams` moves to each normal block
-    resets = _LaneStreams(cfg.seed).at(path_index, _RESET_CLOCK)
+    resets = _LaneStreams(cfg.seed).at(_check_int("path_index", path_index), _RESET_CLOCK)
     reset = -math.log1p(-resets.random()) / d.xi if d.xi > 0.0 else math.inf
     ea, sd = math.exp(-d.alpha * dt), math.sqrt(0.5 * d.nu * -math.expm1(-2.0 * d.alpha * dt))
     values = np.empty(n_steps + 1)
@@ -435,8 +435,8 @@ def sample_ou_endpoints(d: DiffusionParams, y, t, cfg: SimConfig) -> np.ndarray:
     then moves by one Gaussian transition from 0 over that time, or from y
     over all of t when no reset came.
     """
-    if not (t > 0.0 and math.isfinite(y)):
-        raise ValueError(f"need t > 0 and a finite start, got t={t}, y={y}")
+    _check_real("y", y)
+    _check_real("t", t, "positive")
     lanes = np.arange(cfg.n_paths)
     back = np.minimum(_exp_clock(cfg.seed, lanes, d.xi), t)
     z = _LaneStreams(cfg.seed).normals(lanes, 1, _NORMALS)[:, 0]
@@ -570,18 +570,17 @@ def estimate_fpt(model, start, cfg: SimConfig, half_step_check=True) -> FptEstim
     0), biased high by less than one step, and with half_step_check the
     mean is re-run at half the step so the bias can be judged.  Paths that
     outlive the horizon are censored, counted, and flag the estimate beyond
-    0.1%; fewer than two uncensored paths raise ValueError.
+    0.1%; fewer than two paths, or than two uncensored ones, raise ValueError.
     """
-    if start == 0:
-        raise ValueError("first passage from 0 is degenerate")
+    _check_real("start", start, "nonzero")
+    if cfg.n_paths < 2:
+        raise ValueError(f"passage moments need at least 2 paths, got {cfg.n_paths}")
     horizon = cfg.horizon if cfg.horizon is not None else default_horizon(model)
     half = None
     if isinstance(model, ChainParams):
         start = model.check_state(start, "start")
         _, times = _chain_lanes(model, start, cfg.seed, np.arange(cfg.n_paths), horizon, absorb=True)
     elif isinstance(model, DiffusionParams):
-        if not math.isfinite(start):
-            raise ValueError(f"start must be finite, got {start}")
         if model.beta == 0.0:
             times = _ou_fpt_exact(model, start, horizon, cfg)
         else:

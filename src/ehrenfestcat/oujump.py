@@ -22,7 +22,7 @@ from scipy.integrate import quad  # noqa: F401  unused; benchmark/trace_targets.
 from scipy.linalg import block_diag
 from scipy.special import erf, erfc, loggamma
 
-from .ehrenfest import ChainParams, QuadratureError
+from .ehrenfest import ChainParams, QuadratureError, _check_int, _check_real
 from .specfun import (
     DEFAULT_SERIES,
     NonConvergenceError,
@@ -74,14 +74,10 @@ class DiffusionParams:
     xi: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < math.inf:
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        if not math.isfinite(self.beta):
-            raise ValueError(f"beta must be finite, got {self.beta}")
-        if not 0.0 < self.nu < math.inf:
-            raise ValueError(f"nu must be positive and finite, got {self.nu}")
-        if not 0.0 <= self.xi < math.inf:
-            raise ValueError(f"xi must be non-negative and finite, got {self.xi}")
+        _check_real("alpha", self.alpha, "positive")
+        _check_real("beta", self.beta)
+        _check_real("nu", self.nu, "positive")
+        _check_real("xi", self.xi, "non-negative")
 
     @property
     def is_symmetric(self):
@@ -96,8 +92,7 @@ class ScalingMap:
     chain: ChainParams
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        _check_real("epsilon", self.epsilon, "positive")
 
     @property
     def gamma_drift(self):
@@ -119,6 +114,9 @@ def chain_for_scale(alpha, gamma, nu, xi, epsilon) -> ChainParams:
 
     nu/epsilon^2 must be a whole number of states.
     """
+    for name, value, sign in (("alpha", alpha, "positive"), ("gamma", gamma, None), ("nu", nu, "positive"),
+                              ("xi", xi, "non-negative"), ("epsilon", epsilon, "positive")):
+        _check_real(name, value, sign)
     n_float = nu / epsilon**2
     N = round(n_float)
     if abs(n_float - N) > 1e-9 * max(1.0, n_float):
@@ -132,23 +130,22 @@ def chain_for_scale(alpha, gamma, nu, xi, epsilon) -> ChainParams:
 # free process
 
 
-def _check_pos_time(t):
-    if not t > 0.0:
-        raise ValueError(f"the transition density needs t > 0 (t = 0 is a point mass), got {t}")
-
-
 def f_free_mean(d: DiffusionParams, y, t):
+    _check_real("y", y)
+    _check_real("t", t, "non-negative")
     return d.beta * (-math.expm1(-d.alpha * t)) + y * math.exp(-d.alpha * t)
 
 
 def f_free_var(d: DiffusionParams, t):
+    _check_real("t", t, "non-negative")
     return 0.5 * d.nu * (-math.expm1(-2.0 * d.alpha * t))
 
 
 def f_free(d: DiffusionParams, x, y, t):
-    """Free OU transition density at a scalar or array x: normal with mean
-    beta(1-e^{-at}) + y e^{-at} and variance (nu/2)(1 - e^{-2at})."""
-    _check_pos_time(t)
+    """Free OU transition density at a scalar or array x and t > 0 (t = 0 is a point mass):
+    normal with mean beta(1-e^{-at}) + y e^{-at} and variance (nu/2)(1 - e^{-2at})."""
+    _check_real("x", x)
+    _check_real("t", t, "positive")
     m, v = f_free_mean(d, y, t), f_free_var(d, t)
     value = np.exp(-((np.asarray(x, dtype=float) - m) ** 2) / (2.0 * v)) / math.sqrt(2.0 * math.pi * v)
     return float(value) if value.ndim == 0 else value
@@ -156,6 +153,7 @@ def f_free(d: DiffusionParams, x, y, t):
 
 def w_free(d: DiffusionParams, x) -> float:
     """Steady-state density of the free process, N(beta, nu/2)."""
+    _check_real("x", x)
     return math.exp(-((x - d.beta) ** 2) / d.nu) / math.sqrt(math.pi * d.nu)
 
 
@@ -169,11 +167,13 @@ def f_free_laplace(d: DiffusionParams, x, y, s):
     an array of contour nodes.
     """
     alpha, beta, nu = d.alpha, d.beta, d.nu
+    _check_real("x", x)
+    _check_real("y", y)
+    cplx = np.iscomplexobj(s)
+    if not cplx:
+        _check_real("s", s, "positive")
     sq = math.sqrt(2.0 / nu)
     z1, z2 = -sq * (min(x, y) - beta), sq * (max(x, y) - beta)
-    cplx = np.iscomplexobj(s)
-    if not (cplx or s > 0.0):
-        raise ValueError(f"the transform needs s > 0, got {s}")
     lg = loggamma if cplx else math.lgamma
     lval = (
         (s / alpha - 1.0) * math.log(2.0)
@@ -246,9 +246,9 @@ def f_cat(d: DiffusionParams, x, y, t):
     mpmath renewal integral, with gaps below 6e-12 (they scale as 1/sqrt(nu)); at xi/alpha = 500
     the gap is 4e-10 and it raises.  About 60 us a scalar x, 8 us a point for 120 (2-core VM).
     """
+    value = f_free(d, x, y, t) * math.exp(-d.xi * t)  # f_free checks x, y and t first
     x = np.asarray(x, dtype=float)
     alpha, beta, nu, xi = d.alpha, d.beta, d.nu, d.xi
-    value = math.exp(-xi * t) * f_free(d, x, y, t)
     if xi > 0.0:
         xr, (s, wt) = x.reshape(-1, 1), _f_cat_rule()
         tau_c, tau_e = min(t, 1.0 / (2.0 * alpha)), min(t, 40.0 / alpha)
@@ -306,10 +306,8 @@ def f_cat_sym(d: DiffusionParams, x, y, t, ctl=DEFAULT_SERIES) -> float:
     """
     if d.beta != 0.0:
         raise ValueError("f_cat_sym requires beta = 0; use f_cat for general beta")
-    _check_pos_time(t)
-    if x == 0.0:
-        raise ValueError("f_cat_sym needs x != 0 (the Psi arguments need x^2 > 0)")
-    free_part = math.exp(-d.xi * t) * f_free(d, x, y, t)
+    _check_real("x", x, "nonzero")  # the Psi arguments need x^2 > 0
+    free_part = f_free(d, x, y, t) * math.exp(-d.xi * t)  # f_free checks y and t first
     if d.xi == 0.0:
         return free_part
     alpha, nu, xi = d.alpha, d.nu, d.xi
@@ -346,11 +344,10 @@ def f_cat_sym(d: DiffusionParams, x, y, t, ctl=DEFAULT_SERIES) -> float:
 
 def mean_cat_x(d: DiffusionParams, y, t) -> float:
     """Conditional mean of the reset process."""
-    if t < 0.0:
-        raise ValueError(f"time must be non-negative, got {t}")
-    r = d.alpha + d.xi
-    e = math.exp(-r * t)
-    return y * e + d.alpha * d.beta / r * (1.0 - e)
+    _check_real("y", y)
+    _check_real("t", t, "non-negative")
+    e = math.exp(-(d.alpha + d.xi) * t)
+    return y * e + mean_cat_x_limit(d) * (1.0 - e)
 
 
 def mean_cat_x_limit(d: DiffusionParams) -> float:
@@ -359,15 +356,14 @@ def mean_cat_x_limit(d: DiffusionParams) -> float:
 
 def m2_cat_x(d: DiffusionParams, y, t) -> float:
     """Conditional second moment of the reset process."""
-    if t < 0.0:
-        raise ValueError(f"time must be non-negative, got {t}")
+    _check_real("y", y)
+    _check_real("t", t, "non-negative")
     alpha, beta, nu, xi = d.alpha, d.beta, d.nu, d.xi
     r1 = xi + alpha
     r2 = xi + 2.0 * alpha
-    const = alpha * nu / r2 + 2.0 * alpha**2 * beta**2 / (r1 * r2)
     c1 = 2.0 * beta * (y - alpha * beta / r1)
     c2 = y**2 - 2.0 * beta * y + 2.0 * alpha * beta**2 / r2 - alpha * nu / r2
-    return const + c1 * math.exp(-r1 * t) + c2 * math.exp(-r2 * t)
+    return m2_cat_x_limit(d) + c1 * math.exp(-r1 * t) + c2 * math.exp(-r2 * t)
 
 
 def m2_cat_x_limit(d: DiffusionParams) -> float:
@@ -383,13 +379,9 @@ def var_cat_x(d: DiffusionParams, y, t) -> float:
 # first passage through 0
 
 
-def _check_start(y):
-    if y == 0.0:
-        raise ValueError("first passage from y = 0 is degenerate")
-
-
 def _fpt_free_args(d: DiffusionParams, y):
-    """(expo, z_num, z_den) of fpt_laplace_free = e^expo D_p(z_num) / D_p(z_den)."""
+    """(expo, z_num, z_den) of fpt_laplace_free = e^expo D_p(z_num) / D_p(z_den); the start y must be nonzero."""
+    _check_real("y", y, "nonzero")
     sq = math.sqrt(2.0 / d.nu)
     sgn = 1.0 if y > 0.0 else -1.0
     return y * (y - 2.0 * d.beta) / (2.0 * d.nu), sgn * (y - d.beta) * sq, -sgn * d.beta * sq
@@ -403,23 +395,19 @@ def fpt_laplace_free(d: DiffusionParams, y, s):
     Complex s (a scalar or an array of contour nodes) serves contour inversion.
     The exponent is (z_num^2 - z_den^2)/4, so real s takes parabolic_cylinder_D_ratio.
     """
-    _check_start(y)
     expo, z_num, z_den = _fpt_free_args(d, y)
     if np.iscomplexobj(s):
         return np.exp(expo + parabolic_cylinder_D_complex_log_ratio(-s / d.alpha, z_num, z_den))
-    if not s > 0.0:
-        raise ValueError(f"the transform needs s > 0, got {s}")
+    _check_real("s", s, "positive")
     return parabolic_cylinder_D_ratio(-s / d.alpha, z_num, z_den)[0]
 
 
 def fpt_density_free_sym_x(d: DiffusionParams, y, t):
     """Free first-passage density through 0 for beta = 0 (closed form), at a scalar or array t > 0."""
     if d.beta != 0.0:
-        raise ValueError("fpt_density_free_sym_x requires beta = 0")
-    _check_start(y)
-    t = np.asarray(t, dtype=float)
-    if not np.all(t > 0.0):
-        raise ValueError(f"the passage density needs t > 0, got {t}")
+        raise ValueError("the closed-form passage density requires beta = 0")
+    _check_real("y", y, "nonzero")
+    t = np.asarray(_check_real("t", t, "positive"))
     alpha, nu = d.alpha, d.nu
     s = -np.expm1(-2.0 * alpha * t)
     lval = math.log(2.0 * alpha * abs(y)) - 0.5 * math.log(math.pi * nu) - alpha * t - 1.5 * np.log(s) \
@@ -434,15 +422,10 @@ def fpt_density_cat_sym(d: DiffusionParams, y, t):
     the Erf factor is the free survival probability, so the value at
     t = 0 is xi.
     """
-    if d.beta != 0.0:
-        raise ValueError("fpt_density_cat_sym requires beta = 0")
-    _check_start(y)
-    t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0.0):
-        raise ValueError(f"time must be non-negative, got {t}")
+    t = np.asarray(_check_real("t", t, "non-negative"))
     pos = t > 0.0
     tp = np.where(pos, t, 1.0)  # t = 0 takes xi below, and no log(0)
-    g = fpt_density_free_sym_x(d, y, tp)
+    g = fpt_density_free_sym_x(d, y, tp)  # checks beta and y
     if d.xi > 0.0:
         s = -np.expm1(-2.0 * d.alpha * tp)
         g = np.exp(-d.xi * tp) * (g + d.xi * erf(abs(y) * np.exp(-d.alpha * tp) / np.sqrt(d.nu * s)))
@@ -453,7 +436,8 @@ def fpt_density_cat_sym(d: DiffusionParams, y, t):
 def fpt_laplace_cat(d: DiffusionParams, y, s):
     """Laplace transform of the reset first-passage density:
     s/(s+xi) * gfree_{s+xi} + xi/(s+xi)."""
-    _check_start(y)
+    if not np.iscomplexobj(s):
+        _check_real("s", s, "positive")
     return (s * fpt_laplace_free(d, y, s + d.xi) + d.xi) / (s + d.xi)
 
 
@@ -491,7 +475,6 @@ def var_fpt_cat(d: DiffusionParams, y) -> float:
 
 def _fpt_cat_moments(d: DiffusionParams, y, name):
     """(mean, second moment) of the reset passage time, both from one parabolic_cylinder_D_ratio call."""
-    _check_start(y)
     if not d.xi > 0.0:
         raise ValueError(f"{name} requires xi > 0")
     xi, (_, z_num, z_den) = d.xi, _fpt_free_args(d, y)
@@ -540,11 +523,13 @@ def talbot_invert(transform, t, n_nodes=16, check_rtol=1e-4, check_atol=1e-7) ->
     within 8.2e-8 relative of fpt_density_cat_sym.  One inversion of
     fpt_laplace_cat (one D_p ratio call) took 260 us on a loaded 2-core VM.
     """
-    if not t > 0.0:
-        raise ValueError(f"talbot_invert needs t > 0, got {t}")
+    _check_real("t", t, "positive")
+    _check_real("check_rtol", check_rtol, "non-negative")
+    _check_real("check_atol", check_atol, "non-negative")
+    n_nodes = _check_int("n_nodes", n_nodes, "positive")
     if n_nodes < 12:
         raise ValueError(f"n_nodes too small: {n_nodes}")
-    n_nodes, m_check = int(n_nodes), max(10, int(round(0.875 * n_nodes)))
+    m_check = max(10, int(round(0.875 * n_nodes)))
     sigma, weights = _talbot_rule(n_nodes, m_check)
     values = np.asarray(transform(sigma / t))
     if values.shape != sigma.shape:

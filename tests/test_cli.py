@@ -147,6 +147,20 @@ def test_non_finite_parameter_exit_code(tmp_path, flag, value):
     assert not (tmp_path / "qn.csv").exists()
 
 
+@pytest.mark.parametrize("argv, name, csv", [
+    (["moments", "--N", "10", "--lambda", "0.6", "--mu", "0.6", "--xi", "0.5", "--j", "6",
+      "--t-max", "nan", "--points", "3"], "horizon", "moments.csv"),
+    (["diffusion-density", "--alpha", "1.2", "--nu", "0.001", "--xi", "0.5", "--y", "nan", "--t", "1"],
+     "y", "diffusion_density.csv"),
+], ids=["moments", "diffusion-density"])
+def test_non_finite_argument_exit_code(tmp_path, argv, name, csv):
+    # both once wrote rows of nan and exited 0
+    proc = run_cli(argv, tmp_path=tmp_path, check=False)
+    assert proc.returncode == 2
+    assert f"error: {name} must be finite" in proc.stderr and "got nan" in proc.stderr
+    assert not (tmp_path / csv).exists()
+
+
 def test_unknown_argument_exit_code(tmp_path):
     proc = run_cli(["qn", "--bogus", "1"], tmp_path=tmp_path, check=False)
     assert proc.returncode == 2

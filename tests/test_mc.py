@@ -465,8 +465,9 @@ def test_fpt_censoring_reported_and_flagged():
 
 
 def test_estimate_fpt_rejects_zero_start():
-    with pytest.raises(ValueError):
-        mc.estimate_fpt(P, 0, mc.SimConfig(seed=1, n_paths=10))
+    for model, start in ((P, 0), (D, 0.0), (D, -0.0)):
+        with pytest.raises(ValueError, match="^start must be finite and nonzero"):
+            mc.estimate_fpt(model, start, mc.SimConfig(seed=1, n_paths=10))
 
 
 def test_ou_fpt_censored_past_horizon():
@@ -494,16 +495,34 @@ def test_ou_grid_walk_needs_a_last_step():
     assert est.n_censored == 0 and math.isfinite(est.mean.value)
 
 
-def test_estimate_fpt_needs_two_uncensored_paths():
+def test_estimate_fpt_needs_two_uncensored_paths(monkeypatch):
+    # all-censored runs name the censored count: the chain, and the OU
+    # process by its exact times (beta = 0) and by its grid walk
     d0 = ou.DiffusionParams(alpha=1.2, beta=0.0, nu=0.001, xi=0.0)
-    for model, start in ((P, 3), (d0, 0.03)):
-        cfg = mc.SimConfig(seed=1, n_paths=50, horizon=1e-3)
-        with pytest.raises(ValueError, match="50 of 50 paths are censored"):
-            mc.estimate_fpt(model, start, cfg, half_step_check=False)
-    with pytest.raises(ValueError, match="at least 2 uncensored"):
-        mc.estimate_fpt(P, 1, mc.SimConfig(seed=1, n_paths=1, horizon=1e3))
+    d_grid = ou.DiffusionParams(alpha=1.2, beta=0.004, nu=0.001, xi=0.5)
+    for model, start in ((P, 3), (d0, 0.03), (d_grid, 0.03)):
+        for horizon in (1e-3, 1e-6):
+            cfg = mc.SimConfig(seed=1, n_paths=50, horizon=horizon)
+            with pytest.raises(ValueError, match="^50 of 50 paths are censored .* at least 2 uncensored paths$"):
+                mc.estimate_fpt(model, start, cfg, half_step_check=False)
+    # one path is refused for its count, before any path is simulated
+    for kernel in ("_chain_lanes", "_ou_fpt_exact", "_ou_fpt_times"):
+        monkeypatch.setattr(mc, kernel, None)
+    for model, start in ((P, 6), (D, 0.03), (d_grid, 0.03)):
+        with pytest.raises(ValueError, match="^passage moments need at least 2 paths, got 1$"):
+            mc.estimate_fpt(model, start, mc.SimConfig(seed=1, n_paths=1, horizon=1e3))
     with pytest.raises(ValueError, match="at least 2 paths"):
         mc.estimate_ou_moments(D, 0.06, 1.0, mc.SimConfig(seed=1, n_paths=1))
+
+
+def test_path_simulators_refuse_an_infinite_horizon():
+    # no event ends a path over [0, inf): the chain simulators would loop
+    # without end, and the OU grid has no step count
+    cfg = mc.SimConfig(seed=1, n_paths=1, horizon=math.inf)
+    for simulate, model, start in ((mc.simulate_chain_path, P, 6), (mc.simulate_chain_path_clock, P, 6),
+                                   (mc.simulate_ou_path, D, 0.03)):
+        with pytest.raises(ValueError, match="^horizon must be finite, got inf$"):
+            simulate(model, start, cfg, 0)
 
 
 def test_chain_path_state_at_rejects_time_before_start():
