@@ -16,7 +16,7 @@ from .ehrenfest import (
 )
 from .oujump import DiffusionParams, ScalingMap, scale_params, chain_for_scale
 from .mc import EstimateWithError, FptEstimate, LawEstimate, SimConfig
-from .specfun import NonConvergenceError, SeriesControl
+from .specfun import NonConvergenceError
 
 __version__ = "0.1.0"
 
@@ -32,7 +32,6 @@ __all__ = [
     "EstimateWithError",
     "LawEstimate",
     "FptEstimate",
-    "SeriesControl",
     "NonConvergenceError",
     "QuadratureError",
     "__version__",

@@ -98,10 +98,10 @@ def cmd_moments(args):
     grid = eh.default_time_grid(p, args.points, args.t_max)
     cols = {
         "t": grid,
-        "mean": [eh.mean_cat(p, args.j, t) for t in grid],
-        "variance": [eh.var_cat(p, args.j, t) for t in grid],
-        "mean_free": [eh.mean_free(p, args.j, t) for t in grid],
-        "variance_free": [eh.var_free(p, args.j, t) for t in grid],
+        "mean": eh.mean_cat(p, args.j, grid),
+        "variance": eh.var_cat(p, args.j, grid),
+        "mean_free": eh.mean_free(p, args.j, grid),
+        "variance_free": eh.var_free(p, args.j, grid),
     }
     path = args.out or os.path.join(_out_dir(args), "moments.csv")
     write_csv(path, {"N": p.N, "lambda": p.lam, "mu": p.mu, "xi": p.xi, "j": args.j}, cols)
@@ -244,9 +244,9 @@ def _figure_columns(fig_id):
         for xi in _FIG_XI_LIST:
             p = eh.ChainParams(N=N, lam=lam, mu=mu, xi=xi)
             f = eh.mean_cat if which == "mean" else eh.var_cat
-            cols[f"{which}_xi{xi}"] = [f(p, j, t) for t in grid.tolist()]
+            cols[f"{which}_xi{xi}"] = f(p, j, grid)
         ffree = eh.mean_free if which == "mean" else eh.var_free
-        cols[f"{which}_free"] = [ffree(pfree, j, t) for t in grid.tolist()]
+        cols[f"{which}_free"] = ffree(pfree, j, grid)
         return {"N": N, "lambda": lam, "mu": mu, "j": j, "quantity": which}, cols
 
     if fig_id in _FIG5:
@@ -287,11 +287,11 @@ def _figure_columns(fig_id):
             p = eh.ChainParams(N=N, lam=lam, mu=mu, xi=xi)
             d = ou.scale_params(ou.ScalingMap(eps, p))
             if which == "mean":
-                cols[f"chain_xi{xi}"] = [eh.mean_cat(p, j, t) for t in grid.tolist()]
-                cols[f"diffusion_xi{xi}"] = [ou.mean_cat_x(d, y, t) / eps for t in grid.tolist()]
+                cols[f"chain_xi{xi}"] = eh.mean_cat(p, j, grid)
+                cols[f"diffusion_xi{xi}"] = ou.mean_cat_x(d, y, grid) / eps
             else:
-                cols[f"chain_xi{xi}"] = [eh.var_cat(p, j, t) for t in grid.tolist()]
-                cols[f"diffusion_xi{xi}"] = [ou.var_cat_x(d, y, t) / eps**2 for t in grid.tolist()]
+                cols[f"chain_xi{xi}"] = eh.var_cat(p, j, grid)
+                cols[f"diffusion_xi{xi}"] = ou.var_cat_x(d, y, grid) / eps**2
         return {"N": N, "lambda": lam, "mu": mu, "j": j, "epsilon": eps, "quantity": which}, cols
 
     if fig_id in _FIG8:

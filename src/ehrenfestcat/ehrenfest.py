@@ -105,8 +105,6 @@ class ChainParams:
         return np.arange(-self.N, self.N + 1)
 
     def check_state(self, n, name="state"):
-        if type(n) is int and -self.N <= n <= self.N:  # the scalar moments' case, in two comparisons
-            return n
         if not abs(n) <= self.N or n != int(n):
             raise ValueError(f"{name}={n} outside the state space -{self.N}..{self.N}")
         return int(n)
@@ -120,8 +118,8 @@ def _check_real(name, value, sign=None):
     """value if finite and meeting the _SIGNS rule sign (if any), else ValueError naming name and value.
 
     The contract of every real argument of ehrenfest, oujump and mc.  A float (numpy's float64
-    too) takes math.isfinite and one comparison, the scalar moments' path; any other value is
-    checked entry by entry as an array and returned as a float array."""
+    too) takes math.isfinite and one comparison, the path of the routines called one point at
+    a time; any other value is checked entry by entry as an array and returned as a float array."""
     if isinstance(value, float):
         if math.isfinite(value) and (sign is None or _SIGNS[sign](value, 0.0)):
             return value
@@ -333,22 +331,22 @@ def q_free_var(p: ChainParams) -> float:
     return 2.0 * p.N * p.rho / (1.0 + p.rho) ** 2
 
 
-def mean_free(p: ChainParams, j, t) -> float:
-    """Conditional mean of the catastrophe-free chain."""
+def mean_free(p: ChainParams, j, t):
+    """Conditional mean of the catastrophe-free chain at t, a float or a 1-D array (then an array)."""
     j = p.check_state(j, "j")
-    _check_real("t", t, "non-negative")
+    t = _check_real("t", t, "non-negative")
     d = p.lam + p.mu
-    e = math.exp(-d * t)
+    e = np.exp(-d * t)
     return j * e + (p.lam - p.mu) * p.N / d * (1.0 - e)
 
 
-def var_free(p: ChainParams, j, t) -> float:
-    """Conditional variance of the catastrophe-free chain."""
+def var_free(p: ChainParams, j, t):
+    """Conditional variance of the catastrophe-free chain at t, a float or a 1-D array (then an array)."""
     j = p.check_state(j, "j")
-    _check_real("t", t, "non-negative")
+    t = _check_real("t", t, "non-negative")
     N, lam, mu = p.N, p.lam, p.mu
     d = lam + mu
-    e = math.exp(-d * t)
+    e = np.exp(-d * t)
     return (1.0 - e) / d**2 * (
         (N + j) * mu * (lam + mu * e) + (N - j) * lam * (mu + lam * e)
     )
@@ -555,11 +553,11 @@ def ode_transient(p: ChainParams, j, grid) -> list[ProbVector]:
 # moments with catastrophes
 
 
-def mean_cat(p: ChainParams, j, t) -> float:
-    """Conditional mean of the chain with catastrophes."""
+def mean_cat(p: ChainParams, j, t):
+    """Conditional mean of the chain with catastrophes at t, a float or a 1-D array (then an array)."""
     j = p.check_state(j, "j")
-    _check_real("t", t, "non-negative")
-    e = math.exp(-(p.lam + p.mu + p.xi) * t)
+    t = _check_real("t", t, "non-negative")
+    e = np.exp(-(p.lam + p.mu + p.xi) * t)
     return j * e + mean_cat_limit(p) * (1.0 - e)
 
 
@@ -567,10 +565,10 @@ def mean_cat_limit(p: ChainParams) -> float:
     return (p.lam - p.mu) * p.N / (p.lam + p.mu + p.xi)
 
 
-def m2_cat(p: ChainParams, j, t) -> float:
-    """Conditional second moment of the chain with catastrophes."""
+def m2_cat(p: ChainParams, j, t):
+    """Conditional second moment of the chain with catastrophes at t, a float or a 1-D array (then an array)."""
     j = p.check_state(j, "j")
-    _check_real("t", t, "non-negative")
+    t = _check_real("t", t, "non-negative")
     N, lam, mu, xi = p.N, p.lam, p.mu, p.xi
     d = lam + mu
     r1 = d + xi
@@ -586,7 +584,7 @@ def m2_cat(p: ChainParams, j, t) -> float:
         + 2.0 * j**2 * d**2
         + j**2 * xi * d
     ) / (d * r2)
-    return m2_cat_limit(p) + t2 * math.exp(-r1 * t) + t3 * math.exp(-r2 * t)
+    return m2_cat_limit(p) + t2 * np.exp(-r1 * t) + t3 * np.exp(-r2 * t)
 
 
 def m2_cat_limit(p: ChainParams) -> float:
@@ -595,8 +593,13 @@ def m2_cat_limit(p: ChainParams) -> float:
     return N * (4.0 * lam * mu + 2.0 * N * (mu - lam) ** 2 + xi * d) / ((d + xi) * (2.0 * d + xi))
 
 
-def var_cat(p: ChainParams, j, t) -> float:
-    return m2_cat(p, j, t) - mean_cat(p, j, t) ** 2
+def var_cat(p: ChainParams, j, t):
+    """Conditional variance of the chain with catastrophes at t, a float or a 1-D array (then an array).
+
+    The square is m * m: a float64 scalar ** 2 can round differently from the
+    array square, and m * m keeps a scalar call equal to an array call bit for bit."""
+    m = mean_cat(p, j, t)
+    return m2_cat(p, j, t) - m * m
 
 
 # ----------------------------------------------------------------------

@@ -229,8 +229,10 @@ def default_horizon(model) -> float:
     """50 relaxation times of the slowest relevant rate."""
     if isinstance(model, ChainParams):
         base = model.lam + model.mu
-    else:
+    elif isinstance(model, DiffusionParams):
         base = model.alpha
+    else:
+        raise TypeError(f"model must be ChainParams or DiffusionParams, got {type(model)}")
     slowest = min(base, model.xi) if model.xi > 0.0 else base
     return 50.0 / slowest
 
@@ -575,21 +577,19 @@ def estimate_fpt(model, start, cfg: SimConfig, half_step_check=True) -> FptEstim
     _check_real("start", start, "nonzero")
     if cfg.n_paths < 2:
         raise ValueError(f"passage moments need at least 2 paths, got {cfg.n_paths}")
-    horizon = cfg.horizon if cfg.horizon is not None else default_horizon(model)
+    default = default_horizon(model)  # the model's type check: TypeError past the two models
+    horizon = default if cfg.horizon is None else cfg.horizon
     half = None
     if isinstance(model, ChainParams):
         start = model.check_state(start, "start")
         _, times = _chain_lanes(model, start, cfg.seed, np.arange(cfg.n_paths), horizon, absorb=True)
-    elif isinstance(model, DiffusionParams):
-        if model.beta == 0.0:
-            times = _ou_fpt_exact(model, start, horizon, cfg)
-        else:
-            dt = cfg.fpt_grid_dt if cfg.fpt_grid_dt is not None else default_fpt_grid_dt(model)
-            times = _ou_fpt_times(model, start, dt, horizon, cfg)
-            if half_step_check:
-                half, _ = _moment_estimates(_ou_fpt_times(model, start, dt / 2.0, horizon, cfg))
+    elif model.beta == 0.0:
+        times = _ou_fpt_exact(model, start, horizon, cfg)
     else:
-        raise TypeError(f"model must be ChainParams or DiffusionParams, got {type(model)}")
+        dt = cfg.fpt_grid_dt if cfg.fpt_grid_dt is not None else default_fpt_grid_dt(model)
+        times = _ou_fpt_times(model, start, dt, horizon, cfg)
+        if half_step_check:
+            half, _ = _moment_estimates(_ou_fpt_times(model, start, dt / 2.0, horizon, cfg))
     censored = int(np.isnan(times).sum())
     mean, variance = _moment_estimates(times)
     frac = censored / cfg.n_paths

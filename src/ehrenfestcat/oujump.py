@@ -24,7 +24,8 @@ from scipy.special import erf, erfc, loggamma
 
 from .ehrenfest import ChainParams, QuadratureError, _check_int, _check_real
 from .specfun import (
-    DEFAULT_SERIES,
+    SERIES_MAX_TERMS,
+    SERIES_RTOL,
     NonConvergenceError,
     parabolic_cylinder_D,  # unused here; the benchmark's tracer wraps this name
     parabolic_cylinder_D_complex_log,
@@ -279,7 +280,7 @@ def f_cat(d: DiffusionParams, x, y, t):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def f_cat_sym(d: DiffusionParams, x, y, t, ctl=DEFAULT_SERIES) -> float:
+def f_cat_sym(d: DiffusionParams, x, y, t) -> float:
     """Transition density with resets for beta = 0, as a single series.
 
     The reset part of the renewal density expands into the binomial
@@ -296,11 +297,11 @@ def f_cat_sym(d: DiffusionParams, x, y, t, ctl=DEFAULT_SERIES) -> float:
     so the tail after a term is at most term * s/(1-s) (the unrearranged
     form has an O(K^{-q}) tail, unusable in double precision).  Stops
     after three consecutive terms whose tail bound term/(1-s) is below
-    rel_tol * partial sum, or that equal 0.
+    SERIES_RTOL * partial sum, or that equal 0.
 
     The terms fall like s^k k^{-1-q}, so the stop comes near the K with
-    s^K K^{-1-q} = rel_tol (1 - s), which grows like e^{2 alpha t}.  A
-    K past ctl.max_terms raises ValueError before summing: by default the
+    s^K K^{-1-q} = SERIES_RTOL (1 - s), which grows like e^{2 alpha t}.  A
+    K past SERIES_MAX_TERMS raises ValueError before summing: the
     region is alpha t <= 3 (at alpha = 1.2, xi = 0.5 it returns at t = 2.5
     and refuses t = 2.6); f_cat serves larger alpha t.
     """
@@ -316,16 +317,16 @@ def f_cat_sym(d: DiffusionParams, x, y, t, ctl=DEFAULT_SERIES) -> float:
     ws = x * x / (nu * s)
     pref = xi / (2.0 * alpha * math.sqrt(math.pi * nu))
     ls = math.log(s)
-    if ctl.max_terms * -ls + (1.0 + q) * math.log(ctl.max_terms) < 2.0 * alpha * t - math.log(ctl.rel_tol):
-        raise ValueError(f"the reset-density series needs more than {ctl.max_terms} terms at "
+    if SERIES_MAX_TERMS * -ls + (1.0 + q) * math.log(SERIES_MAX_TERMS) < 2.0 * alpha * t - math.log(SERIES_RTOL):
+        raise ValueError(f"the reset-density series needs more than {SERIES_MAX_TERMS} terms at "
                          f"alpha t = {alpha * t:.4g} (s = {s:.6f}); use f_cat")
     lw = -ws + 0.5 * ls
-    stop = ctl.rel_tol * math.exp(-2.0 * alpha * t)  # rel_tol * (1 - s)
+    stop = SERIES_RTOL * math.exp(-2.0 * alpha * t)  # SERIES_RTOL * (1 - s)
     coef = 1.0  # (-1)^k C(q-1, k) = prod_{i<=k} (i-q)/i, positive for 0<q<1
     total = 0.0
     small = 0
     psi = psi_a1_stream(ws)
-    for k in range(ctl.max_terms):
+    for k in range(SERIES_MAX_TERMS):
         term = coef * math.exp(lw + k * ls) * next(psi)
         total += term
         if term <= stop * total:  # the terms carry e^{-x^2/(nu s)}, 0 past x^2/(nu s) ~ 745
@@ -336,17 +337,17 @@ def f_cat_sym(d: DiffusionParams, x, y, t, ctl=DEFAULT_SERIES) -> float:
             small = 0
         coef *= (k + 1 - q) / (k + 1)
     raise NonConvergenceError(
-        f"reset-density series needed more than {ctl.max_terms} terms "
+        f"reset-density series needed more than {SERIES_MAX_TERMS} terms "
         f"(s = {s:.6f}; the series is geometric in s, so very large alpha*t "
         "is better served by f_cat)"
     )
 
 
-def mean_cat_x(d: DiffusionParams, y, t) -> float:
-    """Conditional mean of the reset process."""
+def mean_cat_x(d: DiffusionParams, y, t):
+    """Conditional mean of the reset process at t, a float or a 1-D array (then an array)."""
     _check_real("y", y)
-    _check_real("t", t, "non-negative")
-    e = math.exp(-(d.alpha + d.xi) * t)
+    t = _check_real("t", t, "non-negative")
+    e = np.exp(-(d.alpha + d.xi) * t)
     return y * e + mean_cat_x_limit(d) * (1.0 - e)
 
 
@@ -354,16 +355,16 @@ def mean_cat_x_limit(d: DiffusionParams) -> float:
     return d.alpha * d.beta / (d.xi + d.alpha)
 
 
-def m2_cat_x(d: DiffusionParams, y, t) -> float:
-    """Conditional second moment of the reset process."""
+def m2_cat_x(d: DiffusionParams, y, t):
+    """Conditional second moment of the reset process at t, a float or a 1-D array (then an array)."""
     _check_real("y", y)
-    _check_real("t", t, "non-negative")
+    t = _check_real("t", t, "non-negative")
     alpha, beta, nu, xi = d.alpha, d.beta, d.nu, d.xi
     r1 = xi + alpha
     r2 = xi + 2.0 * alpha
     c1 = 2.0 * beta * (y - alpha * beta / r1)
     c2 = y**2 - 2.0 * beta * y + 2.0 * alpha * beta**2 / r2 - alpha * nu / r2
-    return m2_cat_x_limit(d) + c1 * math.exp(-r1 * t) + c2 * math.exp(-r2 * t)
+    return m2_cat_x_limit(d) + c1 * np.exp(-r1 * t) + c2 * np.exp(-r2 * t)
 
 
 def m2_cat_x_limit(d: DiffusionParams) -> float:
@@ -371,8 +372,10 @@ def m2_cat_x_limit(d: DiffusionParams) -> float:
     return alpha * nu / (xi + 2.0 * alpha) + 2.0 * alpha**2 * beta**2 / ((xi + alpha) * (xi + 2.0 * alpha))
 
 
-def var_cat_x(d: DiffusionParams, y, t) -> float:
-    return m2_cat_x(d, y, t) - mean_cat_x(d, y, t) ** 2
+def var_cat_x(d: DiffusionParams, y, t):
+    """Conditional variance of the reset process at t, a float or a 1-D array (then an array); m * m as in var_cat."""
+    m = mean_cat_x(d, y, t)
+    return m2_cat_x(d, y, t) - m * m
 
 
 # ----------------------------------------------------------------------

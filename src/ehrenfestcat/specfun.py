@@ -20,7 +20,6 @@ from __future__ import annotations
 import collections
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -32,21 +31,10 @@ class NonConvergenceError(RuntimeError):
     """A truncated series or iteration failed to reach its tolerance."""
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation control for the infinite series (complex-order Kummer Phi, reset density)."""
-
-    rel_tol: float = 1e-12
-    max_terms: int = 10000
-
-    def __post_init__(self):
-        if not self.rel_tol > 0.0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-DEFAULT_SERIES = SeriesControl()
+#: truncation of the infinite series (complex-order Kummer Phi, oujump's reset density): a sum
+#: stops once its terms fall below SERIES_RTOL times it, and refuses past SERIES_MAX_TERMS terms
+SERIES_RTOL = 1e-12
+SERIES_MAX_TERMS = 10000
 
 #: no branch reads this: every real z takes the fixed-node rule of
 #: _dp_rule.  benchmark/trace_targets.py counts the calls with z above it.
@@ -298,7 +286,7 @@ def parabolic_cylinder_D_complex_log_ratio(p, z1, z2):
         # e^{-x/2} [Phi(-p/2, 1/2; x) - sqrt(2) z Gamma((1-p)/2)/Gamma(-p/2) Phi((1-p)/2, 3/2; x)],  x = z^2/2
         zr = zs[rows, None]
         x, a = zr * zr / 2.0, (np.array([[0.0], [1.0]]) - q[cols]) / 2.0
-        phi, lg = _phi_rows(a, np.array([[0.5], [1.5]]), x[:, 0], DEFAULT_SERIES), loggamma(a)
+        phi, lg = _phi_rows(a, np.array([[0.5], [1.5]]), x[:, 0]), loggamma(a)
         out[rows[:, None], cols] = -x / 2.0 + np.log(phi[:, 0] - math.sqrt(2.0) * zr * np.exp(lg[1] - lg[0]) * phi[:, 1])
     if wkb.any():
         i, k = np.nonzero(wkb)
@@ -306,14 +294,14 @@ def parabolic_cylinder_D_complex_log_ratio(p, z1, z2):
     return (out[:-1] - out[-1]).reshape((zs.size - 1,) * rows_of_z1 + p.shape)[()]
 
 
-def _phi_rows(a, c, x, ctl):
+def _phi_rows(a, c, x):
     """Phi(a, c; x_i) at [i, ...], for complex a and real c that broadcast together, 1-D x >= 0.
 
     The coefficients (a)_n / ((c)_n n!) are one array for every x: the
     cumprod of (a + n) times the real 1/((c + n)(n + 1)).  Each x sums it
     times its powers x^(n+1) along axis 0, which numpy adds in order for a
     batch of sums (a cancelling sum loses less so than pairwise).  A sum has
-    converged once its last term is below rel_tol * |sum|; it keeps its
+    converged once its last term is below SERIES_RTOL * |sum|; it keeps its
     value at the first column count where it did; the count doubles until all have.
     """
     x, n_cols, phi, done = np.asarray(x).reshape((-1,) + (1,) * np.ndim(a)), 32, 0.0, False
@@ -322,12 +310,12 @@ def _phi_rows(a, c, x, ctl):
         coef = np.cumprod((a + n) * step, axis=0)
         terms = coef[:, None] * x ** n1
         phi = np.where(done, phi, 1.0 + terms.sum(axis=0))
-        done = done | (np.abs(terms[-1]) < ctl.rel_tol * np.abs(phi))
+        done = done | (np.abs(terms[-1]) < SERIES_RTOL * np.abs(phi))
         if done.all():
             return phi
-        if n_cols >= ctl.max_terms:
-            raise NonConvergenceError(f"complex-order Kummer series exceeded {ctl.max_terms} terms (x={x.ravel()})")
-        n_cols = min(2 * n_cols, ctl.max_terms)
+        if n_cols >= SERIES_MAX_TERMS:
+            raise NonConvergenceError(f"complex-order Kummer series exceeded {SERIES_MAX_TERMS} terms (x={x.ravel()})")
+        n_cols = min(2 * n_cols, SERIES_MAX_TERMS)
 
 
 @functools.lru_cache(maxsize=16)

@@ -19,7 +19,6 @@ import pytest
 from ehrenfestcat import ehrenfest as eh
 from ehrenfestcat import mc
 from ehrenfestcat import oujump as ou
-from ehrenfestcat.specfun import DEFAULT_SERIES
 
 P = eh.ChainParams(N=10, lam=0.6, mu=0.6, xi=0.5)
 D = ou.DiffusionParams(alpha=1.2, beta=0.0, nu=0.001, xi=0.5)
@@ -36,7 +35,7 @@ VALID = {
     "t": 1.0, "grid": np.array([0.5, 1.0]), "x": 0.01, "y": 0.03, "s": 1.0,
     "transform": lambda s: ou.fpt_laplace_cat(D, 0.03, s),
     "n_nodes": 16, "check_rtol": 1e-4, "check_atol": 1e-7,
-    "ctl": DEFAULT_SERIES, "half_step_check": False,
+    "half_step_check": False,
 }
 
 #: further calls of a routine, with these arguments in place of VALID's
@@ -47,7 +46,8 @@ MORE_CALLS = {
     "f_cat": [{"x": np.array([0.0, 0.01])}],
     "fpt_density_free_sym_x": [{"t": np.array([0.5, 1.0])}],
     "fpt_density_cat_sym": [{"t": np.array([0.0, 1.0])}],
-}
+} | {name: [{"t": np.array([0.0, 0.5, 1.0])}] for name in (
+    "mean_free", "var_free", "mean_cat", "m2_cat", "var_cat", "mean_cat_x", "m2_cat_x", "var_cat_x")}
 
 #: (callable, argument, value) that the contract allows, with the reason,
 #: which the callable's docstring states too

@@ -470,6 +470,15 @@ def test_estimate_fpt_rejects_zero_start():
             mc.estimate_fpt(model, start, mc.SimConfig(seed=1, n_paths=10))
 
 
+def test_estimate_fpt_rejects_other_models():
+    # the default horizon was once read from any model, and a str raised AttributeError
+    with pytest.raises(TypeError, match="^model must be ChainParams or DiffusionParams"):
+        mc.default_horizon("chain")
+    for horizon in (None, 2.0):
+        with pytest.raises(TypeError, match="^model must be ChainParams or DiffusionParams"):
+            mc.estimate_fpt("chain", 3, mc.SimConfig(seed=1, n_paths=10, horizon=horizon))
+
+
 def test_ou_fpt_censored_past_horizon():
     # the grid kernel's n_steps = ceil(horizon / dt) overshoots: a crossing
     # at grid time 1.2 lies past the horizon 1.0 and is censored, not recorded

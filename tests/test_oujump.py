@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from ehrenfestcat import ehrenfest as eh
 from ehrenfestcat import oujump as ou
 from ehrenfestcat import specfun as sf
-from ehrenfestcat.specfun import NonConvergenceError, SeriesControl
+from ehrenfestcat.specfun import NonConvergenceError
 
 D_SYM = ou.DiffusionParams(alpha=1.2, beta=0.0, nu=0.001, xi=0.5)
 D_BETA = ou.DiffusionParams(alpha=0.5, beta=0.02, nu=0.001, xi=0.5)
@@ -259,14 +259,14 @@ def _mp_renewal(d, x, y, t):
         return float(reset if y is None else mpmath.exp(-xi * end) * free(mpmath.mpf(y), end) + reset)
 
 
-@pytest.mark.parametrize("t", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("t", [1.0, 2.0, 2.5])
 @pytest.mark.parametrize("x", [0.02, 0.06])
 def test_f_cat_sym_vs_mpmath_renewal_integral(x, t):
     # the series is geometric in s = 1 - e^{-2 alpha t}: s = 0.91, 0.99 and
-    # 0.9993 here, so a stop rule that ignores the tail after the last term
-    # loses up to 1e-9 at t = 3; that t needs more than the default 10,000
-    # terms
-    got = ou.f_cat_sym(D_SYM, x, 0.06, t, SeriesControl(max_terms=50_000))
+    # 0.9975 here, so a stop rule that ignores the tail after the last term
+    # loses digits as t grows; t = 2.5 is the edge of the region that the
+    # 10,000-term budget serves
+    got = ou.f_cat_sym(D_SYM, x, 0.06, t)
     assert got == pytest.approx(_mp_renewal(D_SYM, x, 0.06, t), rel=1e-12, abs=0)
 
 
@@ -357,18 +357,19 @@ def test_var_fpt_is_m2_minus_mean_squared_from_one_ratio_call(beta, xi, monkeypa
     assert calls == [-xi / 1.2]
 
 
-def test_f_cat_sym_domain():
+def test_f_cat_sym_domain(monkeypatch):
     with pytest.raises(ValueError):
         ou.f_cat_sym(D_BETA, 0.01, 0.0, 1.0)  # beta != 0
     with pytest.raises(ValueError):
         ou.f_cat_sym(D_SYM, 0.0, 0.01, 1.0)  # x = 0
-    # a term budget far below the series' need is refused before summing
-    with pytest.raises(ValueError, match="more than 10 terms"):
-        ou.f_cat_sym(D_SYM, 0.02, 0.06, 2.0, SeriesControl(rel_tol=1e-12, max_terms=10))
-    # the budget check predicts 1,261 terms here, the sum needs 1,748
-    # (Psi factors far from 1/k at x^2/(nu s) = 40): the sum itself raises
+    # alpha t = 6 needs about e^{12} terms, far past the budget: refused before summing
+    with pytest.raises(ValueError, match="more than 10000 terms"):
+        ou.f_cat_sym(D_SYM, 0.02, 0.06, 5.0)
+    # with a budget of 1,500 the check predicts 1,261 terms here, the sum
+    # needs 1,748 (Psi factors far from 1/k at x^2/(nu s) = 40): the sum itself raises
+    monkeypatch.setattr(ou, "SERIES_MAX_TERMS", 1500)
     with pytest.raises(NonConvergenceError):
-        ou.f_cat_sym(dataclasses.replace(D_SYM, xi=5.0), 0.2, 0.06, 2.0, SeriesControl(max_terms=1500))
+        ou.f_cat_sym(dataclasses.replace(D_SYM, xi=5.0), 0.2, 0.06, 2.0)
 
 
 def test_f_cat_sym_term_budget_edge():
@@ -432,6 +433,24 @@ def test_variance_scaling_convergence():
         j = round(y / eps)
         devs.append(abs(eps**2 * eh.var_cat(p, j, t) - ou.var_cat_x(d, y, t)))
     assert devs[1] < 0.2 * devs[0]
+
+
+@pytest.mark.parametrize("lam, mu", [(0.6, 0.6), (0.6, 0.2), (0.3, 0.2)])
+def test_moments_array_matches_scalar_calls(lam, mu):
+    # one route per moment: a grid call equals the scalar calls bit for bit
+    # (the variances square the mean as m * m, not m ** 2, for that)
+    j, eps = 6, 0.01
+    grid = eh.default_time_grid(eh.ChainParams(N=10, lam=lam, mu=mu))
+    for xi in (0.0, 0.25, 0.5, 1.0, 1.5):
+        p = eh.ChainParams(N=10, lam=lam, mu=mu, xi=xi)
+        d = ou.scale_params(ou.ScalingMap(eps, p))
+        calls = [(f, p, j) for f in (eh.mean_free, eh.var_free, eh.mean_cat, eh.m2_cat, eh.var_cat)]
+        calls += [(f, d, j * eps) for f in (ou.mean_cat_x, ou.m2_cat_x, ou.var_cat_x)]
+        for f, model, start in calls:
+            got = f(model, start, grid)
+            one = [f(model, start, t) for t in grid.tolist()]
+            assert type(one[0]) is np.float64
+            assert np.array_equal(got, one), (f.__name__, xi)
 
 
 # ----------------------------------------------------------------------

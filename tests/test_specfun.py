@@ -68,9 +68,9 @@ def test_appell_f1_rejects_bad_parameters():
         sf.appell_f1_terminating(1.0, 0, 1, 2.0, 0.1, 0.1)
 
 
-def _phi(a, c, x, ctl=sf.DEFAULT_SERIES):
+def _phi(a, c, x):
     """Phi(a, c; x) from the complex-order Kummer rows."""
-    return complex(sf._phi_rows(np.array(complex(a)), np.array(float(c)), np.array([x]), ctl)[0])
+    return complex(sf._phi_rows(np.array(complex(a)), np.array(float(c)), np.array([x]))[0])
 
 
 def test_kummer_phi_trivial_and_exponential():
@@ -93,15 +93,16 @@ def test_kummer_phi_rows_keep_their_own_column_count():
     # Phi(1, 1; x) = e^x: x = 6.5 converges at 32 columns, x = 20 needs 64,
     # and the sum at x = 6.5 keeps its 32-column value in a call with both
     a, c = np.array([1.0 + 0j, 0.5 + 3j]), np.array([1.0, 1.5])
-    both = sf._phi_rows(a, c, np.array([6.5, 20.0]), sf.DEFAULT_SERIES)
+    both = sf._phi_rows(a, c, np.array([6.5, 20.0]))
     for row, x in zip(both, (6.5, 20.0)):
-        assert np.array_equal(row, sf._phi_rows(a, c, np.array([x]), sf.DEFAULT_SERIES)[0]), x
+        assert np.array_equal(row, sf._phi_rows(a, c, np.array([x]))[0]), x
         assert row[0].real == pytest.approx(math.exp(x), rel=1e-12)
 
 
-def test_kummer_phi_nonconvergence():
+def test_kummer_phi_nonconvergence(monkeypatch):
+    monkeypatch.setattr(sf, "SERIES_MAX_TERMS", 5)
     with pytest.raises(sf.NonConvergenceError):
-        _phi(1.0, 1.0, 50.0, sf.SeriesControl(rel_tol=1e-12, max_terms=5))
+        _phi(1.0, 1.0, 50.0)
 
 
 def _psi_a1(k, x):
@@ -380,10 +381,3 @@ def test_fpt_laplace_free_far_start_vs_mpmath(y, s):
     with mpmath.workdps(30):
         ref = float(mpmath.exp(y * y / 4) * mpmath.pcfd(-s, y) / mpmath.pcfd(-s, 0))
     assert ou.fpt_laplace_free(d, y, s) == pytest.approx(ref, rel=1e-13, abs=0)
-
-
-def test_series_control_validation():
-    with pytest.raises(ValueError):
-        sf.SeriesControl(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        sf.SeriesControl(max_terms=0)
