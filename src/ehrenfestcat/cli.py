@@ -359,20 +359,34 @@ def cmd_figure(args):
 # ----------------------------------------------------------------------
 
 
+def _checked(parse, ok, need):
+    """argparse type: parse the text, then refuse a value that fails ok; argparse names the option."""
+    def check(text):
+        if not ok(value := parse(text)):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {value}")
+        return value
+    check.__name__ = parse.__name__      # text that is no number: "invalid float value: ..."
+    return check
+
+
+_FINITE = _checked(float, np.isfinite, "finite")
+_COUNT = _checked(int, lambda n: n >= 1, "a positive integer")
+
+
 def _add_chain_args(sp, with_j=True):
     sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--lambda", dest="lam", type=float, required=True)
-    sp.add_argument("--mu", type=float, required=True)
-    sp.add_argument("--xi", type=float, default=0.0)
+    sp.add_argument("--lambda", dest="lam", type=_FINITE, required=True)
+    sp.add_argument("--mu", type=_FINITE, required=True)
+    sp.add_argument("--xi", type=_FINITE, default=0.0)
     if with_j:
         sp.add_argument("--j", type=int, required=True)
 
 
 def _add_diffusion_args(sp):
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--beta", type=float, default=0.0)
-    sp.add_argument("--nu", type=float, required=True)
-    sp.add_argument("--xi", type=float, default=0.0)
+    sp.add_argument("--alpha", type=_FINITE, required=True)
+    sp.add_argument("--beta", type=_FINITE, default=0.0)
+    sp.add_argument("--nu", type=_FINITE, required=True)
+    sp.add_argument("--xi", type=_FINITE, default=0.0)
 
 
 @functools.cache
@@ -391,40 +405,40 @@ def build_parser():
 
     sp = sub.add_parser("pjn", help="transient law of the chain at one time")
     _add_chain_args(sp)
-    sp.add_argument("--t", type=float, required=True)
+    sp.add_argument("--t", type=_FINITE, required=True)
     sp.add_argument("--check", action="store_true", help="add the quadrature-path column")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_pjn)
 
     sp = sub.add_parser("moments", help="mean and variance curves of the chain")
     _add_chain_args(sp)
-    sp.add_argument("--t-max", type=float, default=None)
-    sp.add_argument("--points", type=int, default=400)
+    sp.add_argument("--t-max", type=_FINITE, default=None)
+    sp.add_argument("--points", type=_COUNT, default=400)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_moments)
 
     sp = sub.add_parser("fpt", help="chain first-passage time to 0")
     _add_chain_args(sp)
-    sp.add_argument("--t-max", type=float, default=None)
-    sp.add_argument("--points", type=int, default=400)
+    sp.add_argument("--t-max", type=_FINITE, default=None)
+    sp.add_argument("--points", type=_COUNT, default=400)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_fpt)
 
     sp = sub.add_parser("diffusion-density", help="jump-diffusion transition and stationary densities")
     _add_diffusion_args(sp)
-    sp.add_argument("--y", type=float, required=True)
-    sp.add_argument("--t", type=float, required=True)
-    sp.add_argument("--x-min", type=float, default=None)
-    sp.add_argument("--x-max", type=float, default=None)
-    sp.add_argument("--points", type=int, default=201)
+    sp.add_argument("--y", type=_FINITE, required=True)
+    sp.add_argument("--t", type=_FINITE, required=True)
+    sp.add_argument("--x-min", type=_FINITE, default=None)
+    sp.add_argument("--x-max", type=_FINITE, default=None)
+    sp.add_argument("--points", type=_COUNT, default=201)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_diffusion_density)
 
     sp = sub.add_parser("diffusion-fpt", help="jump-diffusion first-passage time to 0")
     _add_diffusion_args(sp)
-    sp.add_argument("--y", type=float, required=True)
-    sp.add_argument("--t-max", type=float, default=None)
-    sp.add_argument("--points", type=int, default=400)
+    sp.add_argument("--y", type=_FINITE, required=True)
+    sp.add_argument("--t-max", type=_FINITE, default=None)
+    sp.add_argument("--points", type=_COUNT, default=400)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_diffusion_fpt)
 
@@ -441,18 +455,18 @@ def build_parser():
     sp = sub.add_parser("simulate", help="Monte Carlo estimates")
     sp.add_argument("--model", choices=["chain", "diffusion"], required=True)
     sp.add_argument("--N", type=int, default=10)
-    sp.add_argument("--lambda", dest="lam", type=float, default=0.6)
-    sp.add_argument("--mu", type=float, default=0.6)
-    sp.add_argument("--alpha", type=float, default=1.2)
-    sp.add_argument("--beta", type=float, default=0.0)
-    sp.add_argument("--nu", type=float, default=0.001)
-    sp.add_argument("--xi", type=float, default=0.5)
+    sp.add_argument("--lambda", dest="lam", type=_FINITE, default=0.6)
+    sp.add_argument("--mu", type=_FINITE, default=0.6)
+    sp.add_argument("--alpha", type=_FINITE, default=1.2)
+    sp.add_argument("--beta", type=_FINITE, default=0.0)
+    sp.add_argument("--nu", type=_FINITE, default=0.001)
+    sp.add_argument("--xi", type=_FINITE, default=0.5)
     sp.add_argument("--j", type=int, default=6)
-    sp.add_argument("--y", type=float, default=0.03)
-    sp.add_argument("--t", type=float, default=1.0)
+    sp.add_argument("--y", type=_FINITE, default=0.03)
+    sp.add_argument("--t", type=_FINITE, default=1.0)
     sp.add_argument("--paths", type=int, default=10000)
     sp.add_argument("--seed", type=int, default=20260810)
-    sp.add_argument("--horizon", type=float, default=None)
+    sp.add_argument("--horizon", type=float, default=None)   # inf: no censoring
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_simulate)
 

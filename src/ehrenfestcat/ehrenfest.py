@@ -22,11 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad_vec, solve_ivp
-from scipy.integrate import quad  # noqa: F401  unused; benchmark/trace_targets.py patches it
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .specfun import NonConvergenceError
+from .specfun import NonConvergenceError, _integrate_getattr
 from .specfun import appell_f1_terminating  # noqa: F401  unused; benchmark/trace_targets.py patches it
 
 __all__ = [
@@ -61,6 +58,7 @@ __all__ = [
     "fpt_moments_linear",
     "default_time_grid",
 ]
+__getattr__ = _integrate_getattr(__name__, ("quad", "quad_vec", "solve_ivp"))
 
 #: relative tolerance under which lam and mu are treated as equal by the
 #: symmetric-only first-passage formulas
@@ -392,6 +390,7 @@ def _renewal_quadrature(p: ChainParams, lo) -> np.ndarray:
 
     By adaptive quad_vec, to RENEWAL_QUAD_TOL in the max norm; u = 0 gives the free stationary law.
     """
+    from scipy.integrate import quad_vec
     def integrand(u):
         tau = -math.log(u) / p.xi if u > 0.0 else math.inf
         return p_free_row(p, 0, tau).values if tau < math.inf else q_free_row(p).values
@@ -424,7 +423,7 @@ def _outer_index_sum(N: int) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _renewal_factors(p: ChainParams):
-    """Read-only dgbtrf factors (lu, piv, kl, ku) of U^T and L^T, where LU = A = xi I - Q_free, xi > 0.
+    """(dgbtrs, read-only dgbtrf factors (lu, piv, kl, ku) of U^T and L^T), where LU = A = xi I - Q_free, xi > 0.
 
     A is a tridiagonal M-matrix with birth rates lam_k = lam (N-n) and death
     rates mu_k = mu (N+n) at state n = k - N.  LU takes the subtraction-free
@@ -432,6 +431,7 @@ def _renewal_factors(p: ChainParams):
     s_k = xi + mu_k s_{k-1}/d_{k-1} (the Schur complement's row sum) and
     d_k = s_k + lam_k > lam_k, so dgbtrf (solve_banded's gbsv factor step) swaps no row.
     """
+    from scipy.linalg.lapack import dgbtrf, dgbtrs   # once per parameter set, not per solve
     N, lam, mu, xi, n = p.N, p.lam, p.mu, p.xi, p.states
     s, d = xi, [xi + lam * 2 * N]
     for k in range(1, 2 * N + 1):
@@ -447,7 +447,7 @@ def _renewal_factors(p: ChainParams):
             raise np.linalg.LinAlgError("singular matrix")
         lu.flags.writeable = piv.flags.writeable = False
         factors.append((lu, piv, kl, ku))
-    return tuple(factors)
+    return dgbtrs, tuple(factors)
 
 
 def _renewal_tail(p: ChainParams, times: np.ndarray, free0: np.ndarray) -> np.ndarray:
@@ -460,8 +460,9 @@ def _renewal_tail(p: ChainParams, times: np.ndarray, free0: np.ndarray) -> np.nd
     per parameter set, a call is two banded back-substitutions (dgbtrs,
     U^T then L^T) for all times at once, and every step adds positive terms.
     """
+    dgbtrs, factors = _renewal_factors(p)
     x = free0.T
-    for lu, piv, kl, ku in _renewal_factors(p):
+    for lu, piv, kl, ku in factors:
         x, info = dgbtrs(lu, kl, ku, x, piv)
         if info:
             raise ValueError(f"illegal value in {-info}-th argument of internal gbtrs")
@@ -533,6 +534,7 @@ def ode_transient(p: ChainParams, j, grid) -> list[ProbVector]:
     y0[j + p.N] = 1.0
     if grid[-1] == 0.0:
         return [ProbVector(p.N, y0.copy()) for _ in grid]
+    from scipy.integrate import solve_ivp
     Q = generator_matrix(p)
     QT = np.ascontiguousarray(Q.T)
     sol = solve_ivp(

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad  # noqa: F401  unused; benchmark/trace_targets.py patches it
-from scipy.linalg import block_diag
 from scipy.special import erf, erfc, loggamma
 
 from .ehrenfest import ChainParams, QuadratureError, _check_int, _check_real
@@ -27,6 +25,7 @@ from .specfun import (
     SERIES_MAX_TERMS,
     SERIES_RTOL,
     NonConvergenceError,
+    _integrate_getattr,
     parabolic_cylinder_D,  # unused here; the benchmark's tracer wraps this name
     parabolic_cylinder_D_complex_log,
     parabolic_cylinder_D_complex_log_ratio,
@@ -62,6 +61,7 @@ __all__ = [
     "var_fpt_cat",
     "talbot_invert",
 ]
+__getattr__ = _integrate_getattr(__name__, ("quad",))
 
 
 @dataclass(frozen=True)
@@ -498,7 +498,8 @@ def _talbot_rule(*Ms):
         cot = 1.0 / np.tan(theta)
         sigma.append(2.0 * M / 5.0 * np.concatenate([[1.0], theta * (cot + 1j)]))
         w.append(np.exp(sigma[-1]) * np.concatenate([[0.5], 1.0 + 1j * (theta * (1.0 + cot * cot) - cot)]))
-    sigma, weights = np.concatenate(sigma), block_diag(*w)
+    rule = np.repeat(np.arange(len(Ms)), Ms)                   # block diagonal: row k on rule k's nodes
+    sigma, weights = np.concatenate(sigma), np.where(np.arange(len(Ms))[:, None] == rule, np.concatenate(w), 0j)
     sigma.flags.writeable = weights.flags.writeable = False  # cached: shared by every call
     return sigma, weights
 

@@ -23,12 +23,24 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad  # noqa: F401  unused; benchmark/trace_targets.py patches it
 from scipy.special import digamma, erfcx, loggamma, rgamma
 
 
 class NonConvergenceError(RuntimeError):
     """A truncated series or iteration failed to reach its tolerance."""
+
+
+def _integrate_getattr(module, names):
+    """Module __getattr__ (PEP 562): the names that benchmark/trace_targets.py patches, loaded on first access."""
+    def __getattr__(name):
+        if name not in names:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        import scipy.integrate
+        return getattr(scipy.integrate, name)
+    return __getattr__
+
+
+__getattr__ = _integrate_getattr(__name__, ("quad",))
 
 
 #: truncation of the infinite series (complex-order Kummer Phi, oujump's reset density): a sum

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import ehrenfest as eh
 from . import mc
@@ -91,6 +90,7 @@ def suite_specfun():
 
 
 def suite_chain():
+    from scipy.integrate import quad
     checks = []
     worst_tri = 0.0
     worst_norm = 0.0
@@ -157,6 +157,7 @@ def suite_chain():
 
 
 def suite_diffusion():
+    from scipy.integrate import quad
     checks = []
     d = ou.DiffusionParams(alpha=1.2, beta=0.0, nu=0.001, xi=0.5)
 

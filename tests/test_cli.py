@@ -147,17 +147,23 @@ def test_non_finite_parameter_exit_code(tmp_path, flag, value):
     assert not (tmp_path / "qn.csv").exists()
 
 
-@pytest.mark.parametrize("argv, name, csv", [
-    (["moments", "--N", "10", "--lambda", "0.6", "--mu", "0.6", "--xi", "0.5", "--j", "6",
-      "--t-max", "nan", "--points", "3"], "horizon", "moments.csv"),
+#: moments arguments; a case appends an option again, and argparse checks each copy and keeps the last
+MOMENTS_ARGV = ["moments", "--N", "10", "--lambda", "0.6", "--mu", "0.6", "--xi", "0.5", "--j", "6",
+                "--points", "3"]
+
+
+@pytest.mark.parametrize("argv, option, message, csv", [
+    (MOMENTS_ARGV + ["--t-max", "nan"], "--t-max", "must be finite, got nan", "moments.csv"),
+    (MOMENTS_ARGV + ["--points", "0"], "--points", "must be a positive integer, got 0", "moments.csv"),
+    (MOMENTS_ARGV + ["--lambda", "nan"], "--lambda", "must be finite, got nan", "moments.csv"),
     (["diffusion-density", "--alpha", "1.2", "--nu", "0.001", "--xi", "0.5", "--y", "nan", "--t", "1"],
-     "y", "diffusion_density.csv"),
-], ids=["moments", "diffusion-density"])
-def test_non_finite_argument_exit_code(tmp_path, argv, name, csv):
-    # both once wrote rows of nan and exited 0
+     "--y", "must be finite, got nan", "diffusion_density.csv"),
+], ids=["moments", "moments-points", "moments-lambda", "diffusion-density"])
+def test_non_finite_argument_exit_code(tmp_path, argv, option, message, csv):
+    # the nan cases once wrote rows of nan and exited 0; the error names the option typed
     proc = run_cli(argv, tmp_path=tmp_path, check=False)
     assert proc.returncode == 2
-    assert f"error: {name} must be finite" in proc.stderr and "got nan" in proc.stderr
+    assert f"error: argument {option}: {message}" in proc.stderr
     assert not (tmp_path / csv).exists()
 
 

@@ -493,7 +493,7 @@ def test_renewal_factors_read_only_and_cached_without_thrashing():
             eh.p_cat_closed_row(p, p.N // 2, 0.3)
     info = eh._renewal_factors.cache_info()
     assert (info.misses, info.currsize) == (9, 9)   # every miss still held: no eviction
-    for lu, piv, _, _ in eh._renewal_factors(params[0]):
+    for lu, piv, _, _ in eh._renewal_factors(params[0])[1]:
         for a in (lu, piv):
             with pytest.raises(ValueError):
                 a[0] = 0
