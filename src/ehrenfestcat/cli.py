@@ -135,8 +135,7 @@ def cmd_diffusion_density(args):
     cols = {
         "x": xs,
         "f": ou.f_cat(d, xs, args.y, args.t),
-        "stationary": [ou.W_cat(d, float(x)) if d.xi > 0.0 else ou.w_free(d, float(x))
-                       for x in xs],
+        "stationary": ou.W_cat(d, xs) if d.xi > 0.0 else [ou.w_free(d, float(x)) for x in xs],
     }
     path = args.out or os.path.join(_out_dir(args), "diffusion_density.csv")
     write_csv(path, {"alpha": d.alpha, "beta": d.beta, "nu": d.nu, "xi": d.xi,
@@ -270,7 +269,7 @@ def _figure_columns(fig_id):
             "n": stat.states,
             "x": xs,
             "q_n": stat.values,
-            "w_scaled": [eps * ou.W_cat(d, float(x)) for x in xs],
+            "w_scaled": eps * ou.W_cat(d, xs),
             "q_free_n": free.values,
             "w_free_scaled": [eps * ou.w_free(dfree, float(x)) for x in xs],
         }
@@ -329,19 +328,11 @@ def _figure_columns(fig_id):
         xis = np.round(np.arange(0.05, 5.0 + 1e-9, 0.05), 10)
         cols = {"xi": xis}
         for mu in (0.3, 0.6):
-            chain_vals, diff_vals = [], []
-            for xi in xis:
-                p = eh.ChainParams(N=N, lam=mu, mu=mu, xi=float(xi))
-                d = ou.scale_params(ou.ScalingMap(eps, p))
-                m, m2 = eh.fpt_moments_linear(p, j)
-                if which == "mean":
-                    chain_vals.append(m)
-                    diff_vals.append(ou.mean_fpt_cat(d, y))
-                else:
-                    chain_vals.append(m2 - m * m)
-                    diff_vals.append(ou.var_fpt_cat(d, y))
-            cols[f"chain_mu{mu}"] = chain_vals
-            cols[f"diffusion_mu{mu}"] = diff_vals
+            p = eh.ChainParams(N=N, lam=mu, mu=mu)    # the reset rates come as the xi grid
+            d = ou.scale_params(ou.ScalingMap(eps, p))
+            m, m2 = eh.fpt_moments_linear(p, j, xis)
+            cols[f"chain_mu{mu}"] = m if which == "mean" else m2 - m * m
+            cols[f"diffusion_mu{mu}"] = (ou.mean_fpt_cat if which == "mean" else ou.var_fpt_cat)(d, y, xis)
         return {"N": N, "j": j, "epsilon": eps, "quantity": which,
                 "lambda=mu": "0.3, 0.6"}, cols
 
@@ -349,11 +340,14 @@ def _figure_columns(fig_id):
 
 
 def cmd_figure(args):
-    meta, cols = _figure_columns(args.id)
-    meta["figure"] = args.id
-    path = args.out or os.path.join(_out_dir(args), f"fig{args.id}.csv")
-    write_csv(path, meta, cols)
-    print(path)
+    if args.id == "all" and args.out:
+        raise ValueError("--id all writes one fig<id>.csv per panel to --out-dir; --out names a single file")
+    for fig_id in FIGURE_IDS if args.id == "all" else [args.id]:
+        meta, cols = _figure_columns(fig_id)
+        meta["figure"] = fig_id
+        path = args.out or os.path.join(_out_dir(args), f"fig{fig_id}.csv")
+        write_csv(path, meta, cols)
+        print(path)
 
 
 # ----------------------------------------------------------------------
@@ -442,8 +436,8 @@ def build_parser():
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_diffusion_fpt)
 
-    sp = sub.add_parser("figure", help="write the data behind one figure panel")
-    sp.add_argument("--id", required=True, choices=FIGURE_IDS)
+    sp = sub.add_parser("figure", help="write the data behind one figure panel, or every panel (--id all)")
+    sp.add_argument("--id", required=True, choices=FIGURE_IDS + ["all"])
     sp.add_argument("--out")
     sp.add_argument("--out-dir")
     sp.set_defaults(func=cmd_figure)

@@ -15,6 +15,7 @@ moments are tridiagonal solves whose every step adds positive terms.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 import operator
@@ -146,16 +147,25 @@ class ProbVector:
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
         if v.shape != (2 * self.n_half + 1,):
             raise ValueError(f"expected {2 * self.n_half + 1} entries, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError(f"{np.count_nonzero(~np.isfinite(v))} non-finite entries")
-        if v.min() < -1e-8 or v.max() > 1.0 + 1e-8:
-            raise ValueError("entries outside [0, 1] beyond numerical slack")
-        if abs(v.sum() - 1.0) > 1e-6:
-            raise ValueError(f"entries sum to {v.sum()}, not 1")
+        _check_laws(v[None])
+        v.flags.writeable = False
+        object.__setattr__(self, "values", v)
+
+    @classmethod
+    def from_rows(cls, n_half, rows, times):
+        """One ProbVector per row of a (time, state) block, read-only views of one copy of it,
+        checked once by a single ProbVector's conditions; a bad row's ValueError names its time."""
+        rows = np.array(rows, dtype=float)
+        if rows.shape != (len(times), 2 * n_half + 1):
+            raise ValueError(f"expected {len(times)} rows of {2 * n_half + 1} entries, got shape {rows.shape}")
+        _check_laws(rows, times)
+        rows.flags.writeable = False
+        laws = [object.__new__(cls) for _ in times]
+        for law, v in zip(laws, rows):
+            law.__dict__.update(n_half=n_half, values=v)
+        return laws
 
     @property
     def states(self):
@@ -172,6 +182,19 @@ class ProbVector:
 
     def normalization_defect(self):
         return abs(float(self.values.sum()) - 1.0)
+
+
+def _check_laws(rows, times=None):
+    """ValueError unless each row of the (row, state) block is finite, in [0, 1] up to 1e-8 and sums to 1
+    up to 1e-6, in one pass; the message names times[k] of the first bad row k."""
+    sums = rows.sum(axis=1)
+    if not (rows.min() >= -1e-8 and rows.max() <= 1.0 + 1e-8 and np.abs(sums - 1.0).max() <= 1e-6):  # nan fails too
+        low, high = rows.min(axis=1), rows.max(axis=1)
+        k = int(np.argmin((low >= -1e-8) & (high <= 1.0 + 1e-8) & (np.abs(sums - 1.0) <= 1e-6)))
+        n_bad, outside = np.count_nonzero(~np.isfinite(rows[k])), low[k] < -1e-8 or high[k] > 1.0 + 1e-8
+        raise ValueError(("" if times is None else f"at t={times[k]}: ") + (
+            f"{n_bad} non-finite entries" if n_bad else "entries outside [0, 1] beyond numerical slack"
+            if outside else f"entries sum to {sums[k]}, not 1"))
 
 
 @dataclass(frozen=True)
@@ -474,14 +497,14 @@ def p_cat_closed_rows(p: ChainParams, j, grid) -> list[ProbVector]:
 
     q + e^{-xi t} p_free(j,.,t) - T(t), with the free rows of _free_rows
     and the renewal tail T of _renewal_tail (q = T(0)), each computed for
-    the whole grid at once.  The grid may be in any order and repeat
-    times; rows at t = 0 are the exact initial vector, and at xi = 0 the
-    rows are the free ones.  Against scipy.linalg.expm of
-    generator_matrix it agrees to 1e-12 absolute, and no entry is below
-    -1e-12, over N <= 160, lam/mu from 0.01 to 100, xi from 0.01 to 5 and
-    t in [1e-3, 10]; validate checks it against ode_transient on the
-    400-point default grid at N = 10 and 40, and against
-    p_cat_quadrature_row at N = 40 and t in {1e-3, 0.01}.
+    the whole grid at once and checked as one block (ProbVector.from_rows).
+    The grid may be in any order and repeat times; rows at t = 0 are the
+    exact initial vector, and at xi = 0 the rows are the free ones.
+    Against scipy.linalg.expm of generator_matrix it agrees to 1e-12
+    absolute, and no entry is below -1e-12, over N <= 160, lam/mu from
+    0.01 to 100, xi from 0.01 to 5 and t in [1e-3, 10]; validate checks it
+    against ode_transient on the 400-point default grid at N = 10 and 40,
+    and against p_cat_quadrature_row at N = 40 and t in {1e-3, 0.01}.
     """
     j = p.check_state(j, "j")
     times = _check_real("grid", grid, "non-negative")
@@ -494,7 +517,7 @@ def p_cat_closed_rows(p: ChainParams, j, grid) -> list[ProbVector]:
         free = rows[live]
         tail = _renewal_tail(p, t, free if j == 0 else _free_rows(p, 0, t))
         rows[live] = q_cat_row(p).values + np.exp(-p.xi * t)[:, None] * free - tail
-    return [ProbVector(p.N, v) for v in rows]
+    return ProbVector.from_rows(p.N, rows, times)
 
 
 def p_cat_closed_row(p: ChainParams, j, t) -> ProbVector:
@@ -533,7 +556,7 @@ def ode_transient(p: ChainParams, j, grid) -> list[ProbVector]:
     y0 = np.zeros(size)
     y0[j + p.N] = 1.0
     if grid[-1] == 0.0:
-        return [ProbVector(p.N, y0.copy()) for _ in grid]
+        return ProbVector.from_rows(p.N, np.tile(y0, (grid.size, 1)), grid)
     from scipy.integrate import solve_ivp
     Q = generator_matrix(p)
     QT = np.ascontiguousarray(Q.T)
@@ -548,7 +571,7 @@ def ode_transient(p: ChainParams, j, grid) -> list[ProbVector]:
     )
     if not sol.success:
         raise NonConvergenceError(f"ODE integration failed: {sol.message}")
-    return [ProbVector(p.N, np.clip(sol.y[:, k], 0.0, None)) for k in range(grid.size)]
+    return ProbVector.from_rows(p.N, np.clip(sol.y.T, 0.0, None), grid)
 
 
 # ----------------------------------------------------------------------
@@ -599,9 +622,10 @@ def var_cat(p: ChainParams, j, t):
     """Conditional variance of the chain with catastrophes at t, a float or a 1-D array (then an array).
 
     The square is m * m: a float64 scalar ** 2 can round differently from the
-    array square, and m * m keeps a scalar call equal to an array call bit for bit."""
+    array square, and m * m keeps a scalar call equal to an array call bit for bit.
+    At t = 0 the start is certain and the value is exactly 0 (m2 - m * m rounds to +-1e-14)."""
     m = mean_cat(p, j, t)
-    return m2_cat(p, j, t) - m * m
+    return np.where(np.greater(t, 0.0), m2_cat(p, j, t) - m * m, 0.0)[()]
 
 
 # ----------------------------------------------------------------------
@@ -654,7 +678,7 @@ def fpt_density_cat_curve(p: ChainParams, j, grid) -> Curve:
     return Curve(grid, np.exp(-p.xi * grid) * (g + p.xi * survival))
 
 
-def fpt_moments_linear(p: ChainParams, j) -> tuple[float, float]:
+def fpt_moments_linear(p: ChainParams, j, xi=None):
     """Mean and second moment of the first-passage time to 0, by linear solves.
 
     The chain is skip-free, so from j it reaches the other side only
@@ -669,11 +693,14 @@ def fpt_moments_linear(p: ChainParams, j) -> tuple[float, float]:
     exact rational solve over N <= 160, lam/mu from 0.01 to 100, xi from 0
     to 5 and j in {+-1, +-N}.  Raises ValueError where a moment passes the
     double range (a drift away from 0 at xi = 0 and large N).
+    xi, a float or a 1-D array, replaces p.xi: the sweeps use only + - * /,
+    so an array runs them once, and each entry is the float call's bit for bit.
     """
     j = p.check_state(j, "j")
     if j == 0:
         raise ValueError("first-passage time from j = 0 is degenerate")
-    N, lam, mu, xi = p.N, p.lam, p.mu, p.xi
+    N, lam, mu = p.N, p.lam, p.mu
+    xi = p.xi if xi is None else _check_real("xi", xi, "non-negative")
     toward = [(mu if j > 0 else lam) * (N + i) for i in range(N + 1)]
     away = [(lam if j > 0 else mu) * (N - i) for i in range(N + 1)]
     d, sigma = [1.0] * (N + 2), 0.0        # index N + 1: a dummy with no flow
@@ -690,13 +717,16 @@ def fpt_moments_linear(p: ChainParams, j) -> tuple[float, float]:
             x[i] = (c[i] + toward[i] * x[i - 1]) / d[i]
         return x
 
-    m = solve([1.0] * (N + 1))
-    w = solve([2.0 * v for v in m])
+    floats = isinstance(xi, float)     # numpy's two guards cost a float call 3.4 us, 40% at N = 10
+    with contextlib.nullcontext() if floats else np.errstate(over="ignore", invalid="ignore"):
+        m = solve([1.0] * (N + 1))     # past the double range: refused below
+        w = solve([2.0 * v for v in m])
     mean, m2 = m[abs(j)], w[abs(j)]
-    if not (math.isfinite(mean) and math.isfinite(m2)):
+    ok = mean + m2 < math.inf          # both are positive; nan fails too
+    if not (ok if floats else ok.all()):
         raise ValueError(
             f"the passage moments from j={j} pass the double range at N={N}, "
-            f"lam={lam}, mu={mu}, xi={xi}")
+            f"lam={lam}, mu={mu}, xi={xi if floats else np.broadcast_to(xi, ok.shape)[~ok][0]}")
     return mean, m2
 
 

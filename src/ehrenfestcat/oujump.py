@@ -165,16 +165,19 @@ def f_free_laplace(d: DiffusionParams, x, y, s):
     two parabolic cylinder functions with min/max argument ordering, all
     in logs, so that neither the gammas overflow nor a far cylinder
     factor underflows.  s is real and positive, or complex: a scalar or
-    an array of contour nodes.
+    an array of contour nodes.  For real s, x may be a 1-D array: one
+    _dp_rule block per cylinder argument, each entry the float call's to a few ulp.
     """
     alpha, beta, nu = d.alpha, d.beta, d.nu
-    _check_real("x", x)
+    x = _check_real("x", x)
     _check_real("y", y)
     cplx = np.iscomplexobj(s)
     if not cplx:
         _check_real("s", s, "positive")
     sq = math.sqrt(2.0 / nu)
-    z1, z2 = -sq * (min(x, y) - beta), sq * (max(x, y) - beta)
+    floats = isinstance(x, float)
+    lo, hi = (min(x, y), max(x, y)) if floats else (np.minimum(x, y), np.maximum(x, y))
+    z1, z2 = -sq * (lo - beta), sq * (hi - beta)
     lg = loggamma if cplx else math.lgamma
     lval = (
         (s / alpha - 1.0) * math.log(2.0)
@@ -186,18 +189,18 @@ def f_free_laplace(d: DiffusionParams, x, y, s):
     p = -s / alpha
     if cplx:
         return np.exp(lval + parabolic_cylinder_D_complex_log(p, (z1, z2)).sum(axis=0))
-    return math.exp(lval + parabolic_cylinder_D_log(p, z1) + parabolic_cylinder_D_log(p, z2))
+    return (math.exp if floats else np.exp)(lval + parabolic_cylinder_D_log(p, z1) + parabolic_cylinder_D_log(p, z2))
 
 
 # ----------------------------------------------------------------------
 # process with resets
 
 
-def W_cat(d: DiffusionParams, x) -> float:
+def W_cat(d: DiffusionParams, x):
     """Steady-state density with resets, xi * f_free_laplace(x | 0) at s = xi.
 
-    The renewal relation at t -> inf.  Far in the tail the value
-    underflows to 0.0.
+    The renewal relation at t -> inf, at a float or a 1-D array x.  Far in
+    the tail the value underflows to 0.0.
     """
     if not d.xi > 0.0:
         raise ValueError("W_cat requires xi > 0; use w_free for the free process")
@@ -373,9 +376,11 @@ def m2_cat_x_limit(d: DiffusionParams) -> float:
 
 
 def var_cat_x(d: DiffusionParams, y, t):
-    """Conditional variance of the reset process at t, a float or a 1-D array (then an array); m * m as in var_cat."""
+    """Conditional variance of the reset process at t, a float or a 1-D array (then an array).
+
+    m * m, and exactly 0 at t = 0, as in var_cat."""
     m = mean_cat_x(d, y, t)
-    return m2_cat_x(d, y, t) - m * m
+    return np.where(np.greater(t, 0.0), m2_cat_x(d, y, t) - m * m, 0.0)[()]
 
 
 # ----------------------------------------------------------------------
@@ -444,12 +449,15 @@ def fpt_laplace_cat(d: DiffusionParams, y, s):
     return (s * fpt_laplace_free(d, y, s + d.xi) + d.xi) / (s + d.xi)
 
 
-def mean_fpt_cat(d: DiffusionParams, y) -> float:
-    """Mean first-passage time through 0 with resets: (1 - gfree_xi)/xi."""
-    return _fpt_cat_moments(d, y, "mean_fpt_cat")[0]
+def mean_fpt_cat(d: DiffusionParams, y, xi=None):
+    """Mean first-passage time through 0 with resets: (1 - gfree_xi)/xi.
+
+    xi (as in m2_fpt_cat and var_fpt_cat), a float or a 1-D array, replaces d.xi: an
+    array takes one ratio call, each entry within the stated accuracy of the float call's."""
+    return _fpt_cat_moments(d, y, xi, "mean_fpt_cat")[0]
 
 
-def m2_fpt_cat(d: DiffusionParams, y) -> float:
+def m2_fpt_cat(d: DiffusionParams, y, xi=None):
     """Second moment of the reset first-passage time.
 
     (2/xi^2) [1 - g + xi g'] with g = fpt_laplace_free at s = xi and
@@ -459,10 +467,10 @@ def m2_fpt_cat(d: DiffusionParams, y) -> float:
     var_fpt_cat are within 1e-12 relative of mpmath at alpha = 1.2,
     nu = 0.001, y = 0.03, beta in {0, 0.004, -0.01}, xi in {0.05, 0.5, 5}.
     """
-    return _fpt_cat_moments(d, y, "m2_fpt_cat")[1]
+    return _fpt_cat_moments(d, y, xi, "m2_fpt_cat")[1]
 
 
-def var_fpt_cat(d: DiffusionParams, y) -> float:
+def var_fpt_cat(d: DiffusionParams, y, xi=None):
     """Variance of the reset passage time, m2_fpt_cat - mean_fpt_cat^2 from one ratio call.
 
     At alpha = 1.2, nu = 0.001, xi = 0.5, y = +-0.03 it (and the mean) is
@@ -472,15 +480,15 @@ def var_fpt_cat(d: DiffusionParams, y) -> float:
     against 1/xi, g nears 1, and the bracket of m2_fpt_cat and then m2 -
     mean^2 cancel: at z_den = 44.7 (beta = -1) it is 1.8e-10 off.
     """
-    mean, m2 = _fpt_cat_moments(d, y, "var_fpt_cat")
+    mean, m2 = _fpt_cat_moments(d, y, xi, "var_fpt_cat")
     return m2 - mean**2
 
 
-def _fpt_cat_moments(d: DiffusionParams, y, name):
-    """(mean, second moment) of the reset passage time, both from one parabolic_cylinder_D_ratio call."""
-    if not d.xi > 0.0:
+def _fpt_cat_moments(d: DiffusionParams, y, xi, name):
+    """(mean, second moment) of the reset passage time at xi (d.xi if None), from one D_p ratio call."""
+    if xi is None and not d.xi > 0.0:
         raise ValueError(f"{name} requires xi > 0")
-    xi, (_, z_num, z_den) = d.xi, _fpt_free_args(d, y)
+    xi, (_, z_num, z_den) = d.xi if xi is None else _check_real("xi", xi, "positive"), _fpt_free_args(d, y)
     g, dlog = parabolic_cylinder_D_ratio(-xi / d.alpha, z_num, z_den)
     return (1.0 - g) / xi, 2.0 / xi**2 * (1.0 - g - xi * g * dlog / d.alpha)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -155,9 +156,17 @@ def psi_a1_stream(x):
 
 #: log of the largest double, 709.78
 _LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
+#: the argument types of the real-order D_p's float bodies; anything else is an array
+_REAL = (int, float)
 
 
 def _check_dp_args(p, z, log=False):
+    """ValueError at (p, z) outside the region; arrays are checked entry by entry, naming the first bad one."""
+    if not (isinstance(p, _REAL) and isinstance(z, _REAL)):
+        bad = np.greater(p, 0.0) | ((z < -80.0) if log else (z < 0.0) & (z * z / 2.0 > 700.0))
+        if not bad.any():
+            return
+        p, z = (float(np.broadcast_to(v, bad.shape)[bad][0]) for v in (p, z))
     if p > 0.0:
         raise ValueError(f"parabolic_cylinder_D requires p <= 0, got p={p}")
     if log and z < -80.0:
@@ -190,12 +199,14 @@ def parabolic_cylinder_D(p, z):
 
 
 def parabolic_cylinder_D_log(p, z):
-    """log D_p(z) for p <= 0 and z >= -80, from the same rule; it never under- or overflows."""
+    """log D_p(z) for a float p <= 0 and z >= -80 (a float or a 1-D array), from the same rule.
+
+    It never under- or overflows."""
     _check_dp_args(p, z, log=True)
     if p == 0.0:
         return -z * z / 4.0
     m, s, _ = _dp_rule(-p, z)
-    return m + math.log(s) - z * z / 4.0 - math.lgamma(-p)
+    return m + (math.log if isinstance(z, _REAL) else np.log)(s) - z * z / 4.0 - math.lgamma(-p)
 
 
 def parabolic_cylinder_D_ratio(p, z1, z2):
@@ -208,18 +219,39 @@ def parabolic_cylinder_D_ratio(p, z1, z2):
     z1, z2 in {-38.9, -40.2, -50, -80} wherever R is a normal double.
     R must stay within the double range (below 1.8e308): where it passes
     it, as at (p, z1, z2) = (-1, -38.9, 0), the call raises ValueError.
+    p, z1 and z2 may be 1-D arrays that broadcast: two _dp_rule block calls.
     """
     for z in (z1, z2):
         _check_dp_args(p, z, log=True)
-    if p == 0.0:
+    floats = isinstance(p, _REAL) and isinstance(z1, _REAL) and isinstance(z2, _REAL)
+    if p == 0.0 if floats else np.any(np.equal(p, 0.0)):
         raise ValueError("parabolic_cylinder_D_ratio requires p < 0")
     m1, s1, dlog1 = _dp_rule(-p, z1)
     m2, s2, dlog2 = _dp_rule(-p, z2)
-    r = math.exp(m1 - m2) * s1 / s2 if m1 - m2 < _LOG_DOUBLE_MAX else math.inf
-    if r == math.inf:
-        raise ValueError(f"R = e^((z1^2 - z2^2)/4) D_p(z1)/D_p(z2) passes the double range "
-                         f"at p={p}, z1={z1}, z2={z2} (log R = {m1 - m2 + math.log(s1 / s2):.1f})")
-    return r, dlog2 - dlog1
+    if floats:
+        r = math.exp(m1 - m2) * s1 / s2 if m1 - m2 < _LOG_DOUBLE_MAX else math.inf
+    else:
+        with np.errstate(over="ignore"):
+            r = np.exp(m1 - m2) * s1 / s2
+    over = r == math.inf
+    if not (over if floats else over.any()):
+        return r, dlog2 - dlog1
+    p, z1, z2, log_r = (np.broadcast_to(v, np.shape(r))[over][0] for v in (p, z1, z2, m1 - m2 + np.log(s1 / s2)))
+    raise ValueError(f"R = e^((z1^2 - z2^2)/4) D_p(z1)/D_p(z2) passes the double range "
+                     f"at p={p}, z1={z1}, z2={z2} (log R = {log_r:.1f})")
+
+
+#: math's forms of the numpy functions _dp_rule uses, for a float (q, z)
+_MATH = types.SimpleNamespace(sqrt=math.sqrt, log=math.log, ceil=math.ceil, exp=math.exp, expm1=math.expm1,
+                              minimum=min, maximum=max)
+
+
+def _dp_steps(q, z, xp):
+    """(h, u0, node count) of _dp_rule at (q, z): xp is _MATH for floats, numpy for arrays."""
+    h = xp.minimum(0.1, 0.3 / xp.sqrt(q + xp.maximum(-z, 0.0) ** 2))
+    u0 = xp.log(0.05 / (abs(z) + 1.0))
+    t_peak = 0.5 * (xp.sqrt(z * z + 4.0 * q) - z)
+    return h, u0, xp.ceil((xp.log(t_peak + 9.0) - u0) / h) + 1
 
 
 def _dp_rule(q, z):
@@ -235,26 +267,40 @@ def _dp_rule(q, z):
     power a geometric series.  Returns (m, s, dlog): I = e^m s and
     dlog = d/dq log D_{-q}(z) = int (u + 1/q) e^phi du / I - psi(q + 1),
     i.e. int u e^phi du / I - psi(q) with the two 1/q poles cancelled.
+
+    Floats take one row of nodes; 1-D arrays that broadcast, one block padded to
+    the largest node count and masked, each entry the float call's to a few ulp.
     """
-    h = min(0.1, 0.3 / math.sqrt(q + max(-z, 0.0) ** 2))
-    u0 = math.log(0.05 / (abs(z) + 1.0))
-    t_peak = 0.5 * (math.sqrt(z * z + 4.0 * q) - z)
-    u = u0 + h * np.arange(math.ceil((math.log(t_peak + 9.0) - u0) / h) + 1)
-    t = np.exp(u)
-    phi = q * u - t * (0.5 * t + z)
-    m = phi.max()
-    w = np.exp(phi - m)
-    s = float(w.sum())
-    su = float((u + 1.0 / q) @ w)
-    # b = c_n e^{(q+n)u0 - m} is under 1e-20 b_0 by n = 16; r = e^{-(q+n)h} in the tail sums
-    t0 = math.exp(u0)
-    b, b_prev = math.exp(q * u0 - m), 0.0
-    for n in range(16):
-        e = math.expm1((q + n) * h)
-        s += b / e
-        su += b / e * (u0 + 1.0 / q - h * (e + 1.0) / e)
-        b, b_prev = (-z * t0 * b - t0 * t0 * b_prev) / (n + 1), b
-    return float(m), h * s, su / s - float(digamma(q + 1.0))
+    if isinstance(q, _REAL) and isinstance(z, _REAL):
+        xp, (h, u0, n) = _MATH, _dp_steps(q, z, _MATH)
+        u = u0 + h * np.arange(n)
+        t = np.exp(u)
+        phi = q * u - t * (0.5 * t + z)
+        m = float(phi.max())
+        w = np.exp(phi - m)
+        s, su = float(w.sum()), float((u + 1.0 / q) @ w)
+    else:
+        q, z = (np.ravel(v) for v in np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(z, dtype=float)))
+        xp, (h, u0, n) = np, _dp_steps(q, z, np)
+        j = np.arange(n.max())
+        u = u0[:, None] + h[:, None] * np.minimum(j, n[:, None] - 1)    # padding repeats the last node
+        t = np.exp(u)
+        phi = np.where(j < n[:, None], q[:, None] * u - t * (0.5 * t + z[:, None]), -np.inf)
+        m = phi.max(axis=1)
+        w = np.exp(phi - m[:, None])
+        s, su = w.sum(axis=1), np.einsum("kj,kj->k", u + 1.0 / q[:, None], w)
+    # b = c_k e^{(q+k)u0 - m} is under 1e-20 b_0 by k = 16; r = e^{-(q+k)h} in the tail sums
+    t0 = xp.exp(u0)
+    zt, tt, c = -z * t0, t0 * t0, u0 + 1.0 / q
+    b, b_prev = xp.exp(q * u0 - m), 0.0
+    for k in range(16):
+        e = xp.expm1((q + k) * h)
+        tail = b / e
+        s += tail
+        su += tail * (c - h * (e + 1.0) / e)
+        b, b_prev = (zt * b - tt * b_prev) / (k + 1), b
+    dlog = su / s - digamma(q + 1.0)
+    return m, h * s, float(dlog) if xp is _MATH else dlog
 
 
 #: admissible |z| of the complex-order D_p: the region where its accuracy is tested

@@ -10,6 +10,8 @@ import pytest
 
 import ehrenfestcat
 from ehrenfestcat import cli
+from ehrenfestcat import ehrenfest as eh
+from ehrenfestcat import specfun as sf
 
 #: the directory that holds the ``ehrenfestcat`` package, so that the
 #: child interpreter imports the same code whatever its working directory
@@ -103,6 +105,51 @@ def test_figure_byte_identical(tmp_path):
     cli.main(["figure", "--id", "6a", "--out", str(a)])
     cli.main(["figure", "--id", "6a", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_figure_all_equals_the_single_panels(tmp_path, capsys):
+    # one process writes every panel, in FIGURE_IDS order, with the bytes of 28 single calls
+    cli.main(["figure", "--id", "all", "--out-dir", str(tmp_path / "all")])
+    printed = capsys.readouterr().out.split()
+    assert printed == [str(tmp_path / "all" / f"fig{fid}.csv") for fid in cli.FIGURE_IDS]
+    assert len(cli.FIGURE_IDS) == 28 and len(list((tmp_path / "all").iterdir())) == 28
+    for fid in cli.FIGURE_IDS:
+        cli.main(["figure", "--id", fid, "--out-dir", str(tmp_path / "one")])
+        name = f"fig{fid}.csv"
+        assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "one" / name).read_bytes(), fid
+
+
+def test_figure_all_refuses_one_out_file(tmp_path):
+    proc = run_cli(["figure", "--id", "all", "--out", "x.csv"], tmp_path, check=False)
+    assert proc.returncode == 2 and "--out-dir" in proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
+def test_figure_columns_are_array_calls(monkeypatch):
+    # per-point loops in the panels show as call counts, without timing: panel 6 is
+    # two _dp_rule blocks (W_cat over x), 10a/10b four (a D_p ratio per lambda = mu
+    # over the xi grid), and the transient panels one block check per law call
+    for fid in ("3a", "3d", "8b"):
+        cli._figure_columns(fid)                      # the stationary laws are cached
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kw):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kw)
+        return wrapper
+
+    monkeypatch.setattr(sf, "_dp_rule", counted("rule", sf._dp_rule))
+    monkeypatch.setattr(eh, "_check_laws", counted("check", eh._check_laws))
+    monkeypatch.setattr(eh, "p_cat_closed_rows", counted("rows", eh.p_cat_closed_rows))
+    for fid, most in (("6a", 2), ("6d", 2), ("10a", 4), ("10b", 4)):
+        counts.clear()
+        cli._figure_columns(fid)
+        assert counts.get("rule", 0) <= most, (fid, counts)
+    for fid in ("3a", "3d", "8b"):
+        counts.clear()
+        cli._figure_columns(fid)
+        assert counts.get("rows") == 1 and counts.get("check") == 1, (fid, counts)
 
 
 def test_simulate_byte_identical_with_seed(tmp_path):

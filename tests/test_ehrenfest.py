@@ -433,6 +433,32 @@ def test_p_cat_closed_rows_equal_single_rows():
         eh.p_cat_closed_rows(P_SYM, 6, [])
 
 
+def test_p_cat_closed_rows_check_one_block_and_name_the_bad_time(monkeypatch):
+    # the rows are read-only views of one block, checked once; a bad entry in one
+    # row raises ValueError naming that row's time
+    rows = eh.p_cat_closed_rows(P_SYM, 6, [0.0, 0.5, 1.0])
+    assert all(r.values.base is rows[0].values.base and not r.values.flags.writeable for r in rows)
+    tail = eh._renewal_tail
+    for k, (bad, message) in enumerate(((math.nan, "1 non-finite entries"), (-0.01, "entries sum to"),
+                                        (0.5, "entries outside \\[0, 1\\]"))):
+        def spoiled(p, times, free0, k=k, bad=bad):
+            out = tail(p, times, free0)
+            out[k, 3] += bad          # the tail is subtracted from the row
+            return out
+        monkeypatch.setattr(eh, "_renewal_tail", spoiled)
+        with pytest.raises(ValueError, match=f"^at t={[0.5, 1.0, 1.5][k]}: {message}"):
+            eh.p_cat_closed_rows(P_SYM, 6, [0.0, 0.5, 1.0, 1.5])
+
+
+def test_var_cat_is_exactly_zero_at_t0():
+    # the start is certain at t = 0; m2 - m * m rounded to -2.8e-14 there at j = -8
+    for lam, mu, xi in ((0.9, 0.3, 0.5), (0.6, 0.2, 0.25), (0.6, 0.6, 1.5), (0.3, 0.2, 0.0)):
+        p = eh.ChainParams(N=10, lam=lam, mu=mu, xi=xi)
+        for j in range(-10, 11):
+            for v in (eh.var_cat(p, j, 0.0), eh.var_cat(p, j, np.array([0.0, 1.0]))[0]):
+                assert v == 0.0 and math.copysign(1.0, v) == 1.0, (lam, mu, xi, j)
+
+
 def test_p_cat_closed_rows_long_grid_at_n80():
     # 400 times at N = 80 in one call; spot rows against the
     # one-time route and against expm
@@ -665,6 +691,21 @@ def test_fpt_moments_linear_vs_density_quadrature():
 def test_fpt_moments_linear_asymmetric_rates_work():
     m, w = eh.fpt_moments_linear(P_ASYM, 3)
     assert m > 0.0 and w > m * m  # positive mean, positive variance
+
+
+@pytest.mark.parametrize("N", [1, 10, 40])
+def test_fpt_moments_linear_xi_array_matches_float_calls(N):
+    # the sweeps use only + - * /, so a xi array runs the same code: bit for bit
+    xis = np.round(np.arange(0.0, 5.0 + 1e-9, 0.05), 10)
+    for lam, mu in ((0.6, 0.6), (0.01, 1.0), (3.0, 1.0)):
+        p = eh.ChainParams(N=N, lam=lam, mu=mu, xi=0.7)
+        for j in {1, -1, N, -N, min(3, N)}:
+            mean, m2 = eh.fpt_moments_linear(p, j, xis)
+            one = [eh.fpt_moments_linear(eh.ChainParams(N=N, lam=lam, mu=mu, xi=xi), j) for xi in xis.tolist()]
+            assert np.array_equal(mean, [m for m, _ in one]) and np.array_equal(m2, [w for _, w in one])
+            assert eh.fpt_moments_linear(p, j, 0.25) == one[5]
+    with pytest.raises(ValueError, match="double range.*xi=0.0"):
+        eh.fpt_moments_linear(eh.ChainParams(N=160, lam=100.0, mu=1.0), 160, np.array([0.5, 0.0]))
 
 
 def _passage_moments_exact(N, lam, mu, xi, side):

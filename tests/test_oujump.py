@@ -453,6 +453,37 @@ def test_moments_array_matches_scalar_calls(lam, mu):
             assert np.array_equal(got, one), (f.__name__, xi)
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.02])
+def test_var_cat_x_is_exactly_zero_at_t0(beta):
+    # the start is certain at t = 0; m2 - m * m rounds to 4.3e-19 there at beta = 0.02
+    d = dataclasses.replace(D_BETA, beta=beta)
+    for y in np.linspace(-0.1, 0.1, 21).tolist() + [0.06]:
+        for v in (ou.var_cat_x(d, y, 0.0), ou.var_cat_x(d, y, np.array([0.0, 1.0]))[0]):
+            assert v == 0.0 and math.copysign(1.0, v) == 1.0, y
+
+
+@pytest.mark.parametrize("d", [D_SYM, D_BETA, dataclasses.replace(D_SYM, beta=-0.01)])
+def test_x_and_xi_arrays_match_float_calls(d):
+    # an x or xi array runs each cylinder argument as one _dp_rule block, whose sums
+    # add in another order: W_cat to a few ulp, the passage moments within their
+    # stated accuracy (the second moment's bracket cancels at small xi)
+    xs = np.linspace(-0.15, 0.15, 31)
+    w = ou.W_cat(d, xs)
+    for k, x in enumerate(xs.tolist()):
+        assert w[k] == pytest.approx(ou.W_cat(d, x), rel=1e-14, abs=0), x
+    xis = np.round(np.arange(0.05, 5.0 + 1e-9, 0.05), 10)
+    for f, rel in ((ou.mean_fpt_cat, 1e-14), (ou.m2_fpt_cat, 1e-12), (ou.var_fpt_cat, 1e-12)):
+        for y in (0.03, -0.03):
+            got = f(d, y, xis)
+            for k, xi in enumerate(xis.tolist()):
+                one = f(dataclasses.replace(d, xi=xi), y)
+                assert got[k] == pytest.approx(one, rel=rel, abs=0), (f.__name__, y, xi)
+                assert f(d, y, xi) == one       # a float xi is the call at d.xi = xi
+            assert type(f(d, y)) is float and type(f(d, y, 0.5)) is float
+    with pytest.raises(ValueError, match="xi must be finite and positive, got 0.0"):
+        ou.mean_fpt_cat(d, 0.03, np.array([0.5, 0.0]))
+
+
 # ----------------------------------------------------------------------
 # first passage
 

@@ -381,3 +381,41 @@ def test_fpt_laplace_free_far_start_vs_mpmath(y, s):
     with mpmath.workdps(30):
         ref = float(mpmath.exp(y * y / 4) * mpmath.pcfd(-s, y) / mpmath.pcfd(-s, 0))
     assert ou.fpt_laplace_free(d, y, s) == pytest.approx(ref, rel=1e-13, abs=0)
+
+
+def test_dp_rule_block_matches_float_calls():
+    # arrays of (q, z) take one (entry, node) block, rows padded to the largest node
+    # count: each entry is the float call's to a few ulp, as its sums add in another order
+    q, z = (g.ravel() for g in np.meshgrid(RULE_Q, RULE_Z + FAR_Z + (-5.0, -1.0, 0.0)))
+    m, s, dlog = sf._dp_rule(q, z)
+    for k in range(q.size):
+        m1, s1, dlog1 = sf._dp_rule(float(q[k]), float(z[k]))
+        assert m[k] + math.log(s[k]) == pytest.approx(m1 + math.log(s1), rel=1e-14, abs=1e-14), (q[k], z[k])
+        assert dlog[k] == pytest.approx(dlog1, rel=1e-14, abs=1e-14), (q[k], z[k])
+    # a float pair returns floats, as before the array body
+    assert all(type(v) is float for v in sf._dp_rule(1.5, 0.3) + sf.parabolic_cylinder_D_ratio(-1.5, 0.3, -1.0))
+    # a float against an array broadcasts, and the public wrappers pass arrays through
+    p, z = -RULE_Q, np.full(RULE_Q.size, 1.34)
+    assert np.array_equal(sf._dp_rule(RULE_Q, 1.34)[2], sf._dp_rule(RULE_Q, z)[2])
+    ratio, dlog = sf.parabolic_cylinder_D_ratio(p, 1.34, -1.0)
+    for k, pk in enumerate(p.tolist()):
+        r1, d1 = sf.parabolic_cylinder_D_ratio(pk, 1.34, -1.0)
+        assert ratio[k] == pytest.approx(r1, rel=1e-14) and dlog[k] == pytest.approx(d1, rel=1e-14, abs=1e-14)
+    zs = np.array([-5.0, 0.0, 1.34, 3.0])              # D_log takes a float p and a z array
+    for pk in (-2.5, -0.3, 0.0):
+        logs = sf.parabolic_cylinder_D_log(pk, zs)
+        for k, zk in enumerate(zs.tolist()):
+            assert logs[k] == pytest.approx(sf.parabolic_cylinder_D_log(pk, zk), rel=1e-14, abs=1e-14), (pk, zk)
+    assert np.array_equal(sf.parabolic_cylinder_D_log(0.0, zs), -zs * zs / 4.0)   # D_0(z) = e^{-z^2/4}
+
+
+def test_dp_array_arguments_checked_entry_by_entry():
+    # the first entry outside the region is named, with the float call's message
+    with pytest.raises(ValueError, match=r"z >= -80, got z=-80.5"):
+        sf.parabolic_cylinder_D_log(-1.0, np.array([0.0, -80.5, -90.0]))
+    with pytest.raises(ValueError, match=r"p <= 0, got p=0.5"):
+        sf.parabolic_cylinder_D_ratio(np.array([-1.0, 0.5, 2.0]), 1.0, 0.0)
+    with pytest.raises(ValueError, match="requires p < 0"):
+        sf.parabolic_cylinder_D_ratio(np.array([-1.0, 0.0]), 1.0, 0.0)
+    with pytest.raises(ValueError, match=r"passes the double range at p=-1.0, z1=-38.9"):
+        sf.parabolic_cylinder_D_ratio(np.array([-100.0, -1.0]), np.array([1.0, -38.9]), 0.0)
