@@ -228,7 +228,7 @@ def _figure_columns(fig_id):
         lam, mu, xi, j = _FIG3[fig_id]
         p = eh.ChainParams(N=N, lam=lam, mu=mu, xi=xi)
         grid = eh.default_time_grid(p)
-        rows = np.array([r.values for r in eh.p_cat_closed_rows(p, j, grid)])
+        rows = eh.p_cat_closed_rows(p, j, grid)
         cols = {"t": grid}
         for n in range(-N, N + 1):
             cols[f"p_n{n}"] = rows[:, n + N]
@@ -303,7 +303,7 @@ def _figure_columns(fig_id):
         states = p.states
         cols = {"n": states, "x": states * eps}
         for t, row in zip(_FIG8_TIMES, eh.p_cat_closed_rows(p, j, _FIG8_TIMES)):
-            cols[f"p_t{t}"] = row.values
+            cols[f"p_t{t}"] = row
             cols[f"f_scaled_t{t}"] = eps * ou.f_cat(d, states * eps, y, t)
         return {"N": N, "lambda": lam, "mu": mu, "xi": xi, "j": j, "epsilon": eps,
                 "times": list(_FIG8_TIMES)}, cols

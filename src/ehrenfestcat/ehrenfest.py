@@ -15,7 +15,6 @@ moments are tridiagonal solves whose every step adds positive terms.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
 import operator
@@ -104,9 +103,14 @@ class ChainParams:
         return np.arange(-self.N, self.N + 1)
 
     def check_state(self, n, name="state"):
-        if not abs(n) <= self.N or n != int(n):
-            raise ValueError(f"{name}={n} outside the state space -{self.N}..{self.N}")
-        return int(n)
+        return _check_state(n, self.N, name)
+
+
+def _check_state(n, N, name):
+    """n as an int, if it is a state -N..N, else ValueError naming name and n."""
+    if not abs(n) <= N or n != int(n):
+        raise ValueError(f"{name}={n} outside the state space -{N}..{N}")
+    return int(n)
 
 
 #: the sign rules of _check_real and _check_int, by name: value <op> 0
@@ -153,26 +157,13 @@ class ProbVector:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def from_rows(cls, n_half, rows, times):
-        """One ProbVector per row of a (time, state) block, read-only views of one copy of it,
-        checked once by a single ProbVector's conditions; a bad row's ValueError names its time."""
-        rows = np.array(rows, dtype=float)
-        if rows.shape != (len(times), 2 * n_half + 1):
-            raise ValueError(f"expected {len(times)} rows of {2 * n_half + 1} entries, got shape {rows.shape}")
-        _check_laws(rows, times)
-        rows.flags.writeable = False
-        laws = [object.__new__(cls) for _ in times]
-        for law, v in zip(laws, rows):
-            law.__dict__.update(n_half=n_half, values=v)
-        return laws
-
     @property
     def states(self):
         return np.arange(-self.n_half, self.n_half + 1)
 
     def prob(self, n):
-        return float(self.values[n + self.n_half])
+        """P(n); ValueError unless n is a state -N..N."""
+        return float(self.values[_check_state(n, self.n_half, "n") + self.n_half])
 
     def mean(self):
         return float(self.states @ self.values)
@@ -186,7 +177,7 @@ class ProbVector:
 
 def _check_laws(rows, times=None):
     """ValueError unless each row of the (row, state) block is finite, in [0, 1] up to 1e-8 and sums to 1
-    up to 1e-6, in one pass; the message names times[k] of the first bad row k."""
+    up to 1e-6, in one pass; the message names times[k] of the first bad row k.  Returns the block read-only."""
     sums = rows.sum(axis=1)
     if not (rows.min() >= -1e-8 and rows.max() <= 1.0 + 1e-8 and np.abs(sums - 1.0).max() <= 1e-6):  # nan fails too
         low, high = rows.min(axis=1), rows.max(axis=1)
@@ -195,6 +186,8 @@ def _check_laws(rows, times=None):
         raise ValueError(("" if times is None else f"at t={times[k]}: ") + (
             f"{n_bad} non-finite entries" if n_bad else "entries outside [0, 1] beyond numerical slack"
             if outside else f"entries sum to {sums[k]}, not 1"))
+    rows.flags.writeable = False
+    return rows
 
 
 @dataclass(frozen=True)
@@ -492,12 +485,14 @@ def _renewal_tail(p: ChainParams, times: np.ndarray, free0: np.ndarray) -> np.nd
     return (p.xi * np.exp(-p.xi * times))[:, None] * x.T
 
 
-def p_cat_closed_rows(p: ChainParams, j, grid) -> list[ProbVector]:
+def p_cat_closed_rows(p: ChainParams, j, grid) -> np.ndarray:
     """Transient law with catastrophes at every time of grid, started at j, in closed form.
 
     q + e^{-xi t} p_free(j,.,t) - T(t), with the free rows of _free_rows
     and the renewal tail T of _renewal_tail (q = T(0)), each computed for
-    the whole grid at once and checked as one block (ProbVector.from_rows).
+    the whole grid at once.  Returns a read-only (time, state) array,
+    checked as one block by a single ProbVector's conditions (_check_laws);
+    a bad row's ValueError names its time.
     The grid may be in any order and repeat times; rows at t = 0 are the
     exact initial vector, and at xi = 0 the rows are the free ones.
     Against scipy.linalg.expm of generator_matrix it agrees to 1e-12
@@ -510,6 +505,19 @@ def p_cat_closed_rows(p: ChainParams, j, grid) -> list[ProbVector]:
     times = _check_real("grid", grid, "non-negative")
     if times.ndim != 1 or times.size == 0:
         raise ValueError("grid must be a non-empty 1-D array")
+    return _check_laws(_p_cat_block(p, j, times), times)
+
+
+def p_cat_closed_row(p: ChainParams, j, t) -> ProbVector:
+    """Transient law with catastrophes at time t, started at j: p_cat_closed_rows' row at t, checked once."""
+    times = _check_real("t", [t], "non-negative")
+    if times.shape != (1,):
+        raise ValueError(f"t must be one time, got shape {np.shape(t)}")
+    return ProbVector(p.N, _p_cat_block(p, p.check_state(j, "j"), times)[0])
+
+
+def _p_cat_block(p: ChainParams, j: int, times: np.ndarray) -> np.ndarray:
+    """The unchecked (time, state) block of p_cat_closed_rows at a checked state j and grid times."""
     rows = _free_rows(p, j, times)
     live = times > 0.0
     if p.xi > 0.0 and live.any():
@@ -517,12 +525,7 @@ def p_cat_closed_rows(p: ChainParams, j, grid) -> list[ProbVector]:
         free = rows[live]
         tail = _renewal_tail(p, t, free if j == 0 else _free_rows(p, 0, t))
         rows[live] = q_cat_row(p).values + np.exp(-p.xi * t)[:, None] * free - tail
-    return ProbVector.from_rows(p.N, rows, times)
-
-
-def p_cat_closed_row(p: ChainParams, j, t) -> ProbVector:
-    """Transient law with catastrophes at time t, started at j: p_cat_closed_rows at one time."""
-    return p_cat_closed_rows(p, j, [_check_real("t", t, "non-negative")])[0]
+    return rows
 
 
 def p_cat_quadrature_row(p: ChainParams, j, t) -> ProbVector:
@@ -541,8 +544,8 @@ def p_cat_quadrature_row(p: ChainParams, j, t) -> ProbVector:
     return ProbVector(p.N, lo * ptilde + _renewal_quadrature(p, lo))
 
 
-def ode_transient(p: ChainParams, j, grid) -> list[ProbVector]:
-    """Transient law by integrating the Kolmogorov forward system.
+def ode_transient(p: ChainParams, j, grid) -> np.ndarray:
+    """Transient law by integrating the Kolmogorov forward system: a read-only (time, state) array.
 
     Adaptive explicit Runge-Kutta (DOP853) at local tolerance 1e-10 on the
     full (2N+1)-dimensional linear system; the independent oracle for both
@@ -556,7 +559,7 @@ def ode_transient(p: ChainParams, j, grid) -> list[ProbVector]:
     y0 = np.zeros(size)
     y0[j + p.N] = 1.0
     if grid[-1] == 0.0:
-        return ProbVector.from_rows(p.N, np.tile(y0, (grid.size, 1)), grid)
+        return _check_laws(np.tile(y0, (grid.size, 1)), grid)
     from scipy.integrate import solve_ivp
     Q = generator_matrix(p)
     QT = np.ascontiguousarray(Q.T)
@@ -571,7 +574,7 @@ def ode_transient(p: ChainParams, j, grid) -> list[ProbVector]:
     )
     if not sol.success:
         raise NonConvergenceError(f"ODE integration failed: {sol.message}")
-    return ProbVector.from_rows(p.N, np.clip(sol.y.T, 0.0, None), grid)
+    return _check_laws(np.ascontiguousarray(np.clip(sol.y.T, 0.0, None)), grid)
 
 
 # ----------------------------------------------------------------------
@@ -717,16 +720,15 @@ def fpt_moments_linear(p: ChainParams, j, xi=None):
             x[i] = (c[i] + toward[i] * x[i - 1]) / d[i]
         return x
 
-    floats = isinstance(xi, float)     # numpy's two guards cost a float call 3.4 us, 40% at N = 10
-    with contextlib.nullcontext() if floats else np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         m = solve([1.0] * (N + 1))     # past the double range: refused below
         w = solve([2.0 * v for v in m])
     mean, m2 = m[abs(j)], w[abs(j)]
-    ok = mean + m2 < math.inf          # both are positive; nan fails too
-    if not (ok if floats else ok.all()):
+    ok = np.asarray(mean + m2 < math.inf)    # both are positive; nan fails too
+    if not ok.all():
         raise ValueError(
             f"the passage moments from j={j} pass the double range at N={N}, "
-            f"lam={lam}, mu={mu}, xi={xi if floats else np.broadcast_to(xi, ok.shape)[~ok][0]}")
+            f"lam={lam}, mu={mu}, xi={np.broadcast_to(xi, ok.shape)[~ok][0]}")
     return mean, m2
 
 

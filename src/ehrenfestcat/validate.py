@@ -107,14 +107,14 @@ def suite_chain():
                     rq = eh.p_cat_quadrature_row(p, 0, t)
                     worst_tri = max(
                         worst_tri,
-                        np.abs(rc.values - rq.values).max(),
-                        np.abs(rc.values - o.values).max(),
+                        np.abs(rc - rq.values).max(),
+                        np.abs(rc - o).max(),
                     )
-                    worst_norm = max(worst_norm, rc.normalization_defect())
-                    worst_sym = max(worst_sym, np.abs(rc.values - rm.values[::-1]).max())
+                    worst_norm = max(worst_norm, abs(float(rc.sum()) - 1.0))
+                    worst_sym = max(worst_sym, np.abs(rc - rm[::-1]).max())
     p = eh.ChainParams(N=40, lam=0.6, mu=0.6, xi=0.5)
     o = eh.ode_transient(p, 20, np.array([0.01]))[0]
-    worst_tri = max(worst_tri, np.abs(eh.p_cat_closed_row(p, 20, 0.01).values - o.values).max())
+    worst_tri = max(worst_tri, np.abs(eh.p_cat_closed_row(p, 20, 0.01).values - o).max())
     checks.append(CheckResult("transient oracle triangle", worst_tri <= 1e-7, f"abs {worst_tri:.2e}"))
 
     # small times at N = 40, where q - T(t) cancels most, vs the renewal quadrature
@@ -122,7 +122,7 @@ def suite_chain():
     for lam, mu in ((0.6, 0.6), (0.2, 0.6)):
         p = eh.ChainParams(N=40, lam=lam, mu=mu, xi=0.5)
         for t, rc in zip((1e-3, 0.01), eh.p_cat_closed_rows(p, 20, (1e-3, 0.01))):
-            worst = max(worst, np.abs(rc.values - eh.p_cat_quadrature_row(p, 20, t).values).max())
+            worst = max(worst, np.abs(rc - eh.p_cat_quadrature_row(p, 20, t).values).max())
     checks.append(CheckResult("transient rows at small t vs quadrature", worst <= 1e-10,
                               f"abs {worst:.2e}"))
 
@@ -132,8 +132,7 @@ def suite_chain():
         for lam, mu in ((0.6, 0.6), (0.2, 0.6)):
             p = eh.ChainParams(N=N, lam=lam, mu=mu, xi=0.5)
             grid = eh.default_time_grid(p)
-            for rc, o in zip(eh.p_cat_closed_rows(p, N // 2, grid), eh.ode_transient(p, N // 2, grid)):
-                worst = max(worst, np.abs(rc.values - o.values).max())
+            worst = max(worst, np.abs(eh.p_cat_closed_rows(p, N // 2, grid) - eh.ode_transient(p, N // 2, grid)).max())
     checks.append(CheckResult("transient rows on the default grid vs ODE", worst <= 1e-7,
                               f"abs {worst:.2e}"))
     checks.append(CheckResult("transient normalization", worst_norm <= 1e-9, f"abs {worst_norm:.2e}"))

@@ -48,8 +48,8 @@ def test_criterion_1_oracle_triangle():
                 worst = max(
                     worst,
                     np.abs(rc - rq).max(),
-                    np.abs(rc - o.values).max(),
-                    np.abs(rq - o.values).max(),
+                    np.abs(rc - o).max(),
+                    np.abs(rq - o).max(),
                 )
     elapsed = time.time() - t0
     assert worst <= 1e-7, f"oracle triangle disagreement {worst:.3e}"

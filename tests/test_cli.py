@@ -128,8 +128,10 @@ def test_figure_all_refuses_one_out_file(tmp_path):
 def test_figure_columns_are_array_calls(monkeypatch):
     # per-point loops in the panels show as call counts, without timing: panel 6 is
     # two _dp_rule blocks (W_cat over x), 10a/10b four (a D_p ratio per lambda = mu
-    # over the xi grid), and the transient panels one block check per law call
-    for fid in ("3a", "3d", "8b"):
+    # over the xi grid), and the transient panels one block check per law call and
+    # no ProbVector: they read the (time, state) array that p_cat_closed_rows returns
+    transient = ("3a", "3b", "3c", "3d", "8a", "8b")
+    for fid in transient:
         cli._figure_columns(fid)                      # the stationary laws are cached
     counts = {}
 
@@ -142,14 +144,15 @@ def test_figure_columns_are_array_calls(monkeypatch):
     monkeypatch.setattr(sf, "_dp_rule", counted("rule", sf._dp_rule))
     monkeypatch.setattr(eh, "_check_laws", counted("check", eh._check_laws))
     monkeypatch.setattr(eh, "p_cat_closed_rows", counted("rows", eh.p_cat_closed_rows))
+    monkeypatch.setattr(eh, "ProbVector", counted("vector", eh.ProbVector))
     for fid, most in (("6a", 2), ("6d", 2), ("10a", 4), ("10b", 4)):
         counts.clear()
         cli._figure_columns(fid)
         assert counts.get("rule", 0) <= most, (fid, counts)
-    for fid in ("3a", "3d", "8b"):
+    for fid in transient:
         counts.clear()
         cli._figure_columns(fid)
-        assert counts.get("rows") == 1 and counts.get("check") == 1, (fid, counts)
+        assert counts == {"rows": 1, "check": 1}, (fid, counts)
 
 
 def test_simulate_byte_identical_with_seed(tmp_path):

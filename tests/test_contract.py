@@ -58,7 +58,7 @@ ALLOWED = {("SimConfig", "horizon", math.inf): "an infinite horizon means no cen
 
 #: public classes that carry results the library builds; they take no caller input
 RESULTS = {"ProbVector", "Curve", "QuadratureError", "EstimateWithError", "LawEstimate",
-           "FptEstimate", "ChainPath", "OuPath"}
+           "FptEstimate", "ChainPath"}
 
 
 def _calls():

@@ -1,6 +1,7 @@
 """Chain-law checks: closed forms against quadrature, ODE and summation oracles."""
 
 import math
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -344,9 +345,24 @@ def test_p_cat_quadrature_normalization():
         assert row.normalization_defect() < 1e-9
 
 
+def test_prob_in_range_is_the_entry():
+    q = eh.q_cat_row(eh.ChainParams(N=10, lam=0.6, mu=0.2, xi=0.5))
+    for n in range(-10, 11):
+        assert q.prob(n) == float(q.values[n + 10])
+
+
+@pytest.mark.parametrize("n", [-21, -11, 11, 2.5, math.nan])
+def test_prob_names_a_state_outside_the_space(n):
+    # prob(-11) read P(10) and prob(-21) P(0) through negative indexing; prob(11) raised IndexError
+    q = eh.q_cat_row(eh.ChainParams(N=10, lam=0.6, mu=0.2, xi=0.5))
+    with pytest.raises(ValueError, match=rf"^n={re.escape(str(n))} outside the state space -10\.\.10$"):
+        q.prob(n)
+
+
 def test_ode_transient_initial_vector():
     out = eh.ode_transient(P_SYM, 6, np.array([0.0, 0.5]))
-    assert out[0].prob(6) == 1.0
+    assert out[0, 6 + P_SYM.N] == 1.0 and out[0].sum() == 1.0
+    assert not out.flags.writeable
 
 
 def test_ode_matches_closed_form():
@@ -355,7 +371,7 @@ def test_ode_matches_closed_form():
     odes = eh.ode_transient(p, 6, grid)
     for t, o in zip(grid, odes):
         rc = eh.p_cat_closed_row(p, 6, t).values
-        assert np.abs(rc - o.values).max() < 1e-7
+        assert np.abs(rc - o).max() < 1e-7
 
 
 def test_ode_matches_free_at_zero_xi():
@@ -363,7 +379,7 @@ def test_ode_matches_free_at_zero_xi():
     grid = np.array([0.4, 2.0])
     odes = eh.ode_transient(p, 6, grid)
     for t, o in zip(grid, odes):
-        assert np.abs(eh.p_free_row(p, 6, t).values - o.values).max() < 1e-7
+        assert np.abs(eh.p_free_row(p, 6, t).values - o).max() < 1e-7
 
 
 def test_transient_normalization_sweep():
@@ -392,7 +408,7 @@ def test_chain_laws_vs_expm_and_null_space(N):
         laws = [expm(Q.T * t) for t in times]          # column j + N: the law started at j
         for j in (N // 2, 3):
             for t, law, row in zip(times, laws, eh.p_cat_closed_rows(p, j, times)):
-                assert row.values == pytest.approx(law[:, j + N], rel=0, abs=1e-12)
+                assert row == pytest.approx(law[:, j + N], rel=0, abs=1e-12)
                 got = eh.p_cat_closed_row(p, j, t).values
                 assert got == pytest.approx(law[:, j + N], rel=0, abs=1e-12)
 
@@ -414,19 +430,25 @@ def test_chain_laws_at_the_corners_of_their_region(N, lam, mu, xi):
     laws = [expm(Q.T * t) for t in times]
     for j in (-N, 0, N):
         for law, row in zip(laws, eh.p_cat_closed_rows(p, j, times)):
-            assert row.values == pytest.approx(law[:, j + N], rel=0, abs=1e-12)
-            assert row.values.min() >= -1e-12
+            assert row == pytest.approx(law[:, j + N], rel=0, abs=1e-12)
+            assert row.min() >= -1e-12
 
 
 def test_p_cat_closed_rows_equal_single_rows():
-    # unsorted, with a repeated time and t = 0: row k is the one-time row, bit for bit
+    # unsorted, with a repeated time and t = 0: row k of the read-only (time, state)
+    # block is the one-time row, bit for bit
     grid = [2.0, 0.0, 0.3, 1e-3, 0.3, 7.5]
     for p, j in ((P_SYM, 6), (P_ASYM, -3), (eh.ChainParams(N=10, lam=0.6, mu=0.6), 6)):
         rows = eh.p_cat_closed_rows(p, j, grid)
-        assert len(rows) == len(grid)
+        assert type(rows) is np.ndarray and rows.shape == (len(grid), 2 * p.N + 1)
         for t, row in zip(grid, rows):
-            assert np.array_equal(row.values, eh.p_cat_closed_row(p, j, t).values)
-        assert np.array_equal(rows[1].values, np.eye(2 * p.N + 1)[j + p.N])
+            one = eh.p_cat_closed_row(p, j, t)
+            assert type(one) is eh.ProbVector and np.array_equal(row, one.values)
+        assert np.array_equal(rows[1], np.eye(2 * p.N + 1)[j + p.N])
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            rows[2] += 1.0
     with pytest.raises(ValueError):
         eh.p_cat_closed_rows(P_SYM, 6, [1.0, -0.5])
     with pytest.raises(ValueError):
@@ -434,10 +456,7 @@ def test_p_cat_closed_rows_equal_single_rows():
 
 
 def test_p_cat_closed_rows_check_one_block_and_name_the_bad_time(monkeypatch):
-    # the rows are read-only views of one block, checked once; a bad entry in one
-    # row raises ValueError naming that row's time
-    rows = eh.p_cat_closed_rows(P_SYM, 6, [0.0, 0.5, 1.0])
-    assert all(r.values.base is rows[0].values.base and not r.values.flags.writeable for r in rows)
+    # the block is checked once; a bad entry in one row raises ValueError naming that row's time
     tail = eh._renewal_tail
     for k, (bad, message) in enumerate(((math.nan, "1 non-finite entries"), (-0.01, "entries sum to"),
                                         (0.5, "entries outside \\[0, 1\\]"))):
@@ -467,9 +486,9 @@ def test_p_cat_closed_rows_long_grid_at_n80():
     rows = eh.p_cat_closed_rows(p, 40, grid)
     Q = eh.generator_matrix(p)
     for k in (0, 1, 57, 200, 399):
-        assert np.array_equal(rows[k].values, eh.p_cat_closed_row(p, 40, grid[k]).values)
+        assert np.array_equal(rows[k], eh.p_cat_closed_row(p, 40, grid[k]).values)
         law = expm(Q.T * grid[k])[:, 40 + 80]
-        assert rows[k].values == pytest.approx(law, rel=0, abs=1e-12)
+        assert rows[k] == pytest.approx(law, rel=0, abs=1e-12)
 
 
 def _renewal_tail_by_solve_banded(p, times, free0):
@@ -505,8 +524,7 @@ def test_renewal_tail_equals_solve_banded_bit_for_bit(N):
             for j in sorted({-N, -1, 0, 1, N}):
                 want = eh._free_rows(p, j, grid)
                 want[live] = q + np.exp(-xi * t)[:, None] * want[live] - tail
-                got = np.array([row.values for row in eh.p_cat_closed_rows(p, j, grid)])
-                assert np.array_equal(got, want), (lam, mu, xi, j)
+                assert np.array_equal(eh.p_cat_closed_rows(p, j, grid), want), (lam, mu, xi, j)
 
 
 def test_renewal_factors_read_only_and_cached_without_thrashing():
@@ -537,7 +555,7 @@ def test_p_cat_closed_rows_memory_at_n160():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(rows) == grid.size
+    assert rows.shape == (grid.size, 2 * p.N + 1)
     assert peak < 16 * 2**20, peak
 
 

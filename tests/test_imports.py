@@ -34,7 +34,7 @@ p = eh.ChainParams(N=6, lam=0.6, mu=0.4, xi=0.5)
 closed = eh.q_cat_row(p).values
 out["after_q_cat_row"] = [m for m in LAZY if m in sys.modules]
 quad = eh.q_cat_quadrature_row(p).values
-ode = eh.ode_transient(p, 0, [200.0])[0].values
+ode = eh.ode_transient(p, 0, [200.0])[0]
 out["after_oracles"] = [m for m in LAZY if m in sys.modules]
 out["quadrature_gap"] = float(abs(closed - quad).max())
 out["ode_gap"] = float(abs(closed - ode).max())

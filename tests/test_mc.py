@@ -16,6 +16,7 @@ from scipy import stats
 from ehrenfestcat import ehrenfest as eh
 from ehrenfestcat import mc
 from ehrenfestcat import oujump as ou
+from scalar_oracles import simulate_chain_path_clock, simulate_ou_path
 
 P = eh.ChainParams(N=10, lam=0.6, mu=0.6, xi=0.5)
 D = ou.DiffusionParams(alpha=1.2, beta=0.0, nu=0.001, xi=0.5)
@@ -131,7 +132,7 @@ def test_clock_paths_pinned_across_seeds():
     h = hashlib.sha256()
     paths = {}
     for seed, i in [(7, 0), (7, 1), (11, 0), (7, 2), (11, 5), (7, 0)]:
-        path = mc.simulate_chain_path_clock(P, 6, mc.SimConfig(seed=seed, n_paths=10, horizon=5.0), i)
+        path = simulate_chain_path_clock(P, 6, mc.SimConfig(seed=seed, n_paths=10, horizon=5.0), i)
         h.update(path.times.tobytes())
         h.update(path.states.tobytes())
         paths.setdefault((seed, i), []).append(path)
@@ -150,7 +151,7 @@ def test_merged_vs_clock_simulators_same_law():
     cfg_b = mc.SimConfig(seed=502, n_paths=n, horizon=1.5)
     counts[0] = np.rint(mc.estimate_chain_law(P, 6, t, cfg_a).law.values * n)
     for i in range(n):
-        path = mc.simulate_chain_path_clock(P, 6, cfg_b, i)
+        path = simulate_chain_path_clock(P, 6, cfg_b, i)
         counts[1, path.state_at(t) + P.N] += 1
     # merge sparse cells so the chi-square approximation is sound
     pooled = counts.sum(axis=0)
@@ -173,12 +174,12 @@ def test_merged_vs_clock_simulators_same_law():
 
 def test_ou_path_determinism_and_endpoint_law():
     cfg = mc.SimConfig(seed=5, n_paths=1, horizon=2.0, fpt_grid_dt=0.004)
-    a = mc.simulate_ou_path(D, 0.03, cfg, 2)
-    b = mc.simulate_ou_path(D, 0.03, cfg, 2)
+    a = simulate_ou_path(D, 0.03, cfg, 2)
+    b = simulate_ou_path(D, 0.03, cfg, 2)
     assert np.array_equal(a.values, b.values)
     # the grid walk with resets and the exact endpoint sampler draw X(2)
     # from one law: two-sample Kolmogorov-Smirnov at the 1% critical value
-    walk = np.array([mc.simulate_ou_path(D, 0.03, cfg, i).values[-1] for i in range(1000)])
+    walk = np.array([simulate_ou_path(D, 0.03, cfg, i).values[-1] for i in range(1000)])
     exact = mc.sample_ou_endpoints(D, 0.03, 2.0, mc.SimConfig(seed=6, n_paths=10000))
     res = stats.ks_2samp(walk, exact)
     assert res.statistic < 1.63 * math.sqrt((walk.size + exact.size) / (walk.size * exact.size))
@@ -212,7 +213,7 @@ def _walk_passage(d, y, cfg, lane, dt, horizon):
     epoch from numpy's own stream at sub-stream 0 if that comes first;
     nan past the horizon."""
     free = dataclasses.replace(d, xi=0.0)
-    x = mc.simulate_ou_path(free, y, cfg, lane).values
+    x = simulate_ou_path(free, y, cfg, lane).values
     clock = -math.log1p(-mc._LaneStreams(cfg.seed).at(lane, mc._BRIDGE_CLOCK).random())
     ea = math.exp(-d.alpha * dt)
     prod = x[:-1] * x[1:]
@@ -242,7 +243,7 @@ def test_ou_fpt_lanes_match_grid_walk():
         assert np.isfinite(times).sum() > 20
     # the bridge finds crossings that the sign test misses
     cfg = mc.SimConfig(seed=8, n_paths=2000, horizon=4.0, fpt_grid_dt=0.3)
-    walks = [mc.simulate_ou_path(d, 0.03, cfg, i).values for i in range(2000)]
+    walks = [simulate_ou_path(d, 0.03, cfg, i).values for i in range(2000)]
     sign = [np.flatnonzero(w <= 0.0) for w in walks]
     sign = np.array([s[0] * 0.3 if s.size and s[0] * 0.3 <= 4.0 else np.nan for s in sign])
     times = mc._ou_fpt_times(d, 0.03, 0.3, 4.0, cfg)
@@ -382,7 +383,7 @@ def test_ou_exact_update_no_moment_bias(dt):
     assert abs(m2.value - ref_m2) < 4.0 * m2.std_error
     # the grid walk, which the endpoint sampler no longer uses
     walk_cfg = mc.SimConfig(seed=2000 + int(dt * 100), n_paths=1, horizon=t, fpt_grid_dt=dt)
-    x = np.array([mc.simulate_ou_path(d, 0.06, walk_cfg, i).values[-1] for i in range(2000)])
+    x = np.array([simulate_ou_path(d, 0.06, walk_cfg, i).values[-1] for i in range(2000)])
     se = x.std(ddof=1) / math.sqrt(x.size)
     assert abs(x.mean() - ref_mean) < 4.0 * se
     assert abs((x**2).mean() - ref_m2) < 4.0 * (x**2).std(ddof=1) / math.sqrt(x.size)
@@ -528,8 +529,8 @@ def test_path_simulators_refuse_an_infinite_horizon():
     # no event ends a path over [0, inf): the chain simulators would loop
     # without end, and the OU grid has no step count
     cfg = mc.SimConfig(seed=1, n_paths=1, horizon=math.inf)
-    for simulate, model, start in ((mc.simulate_chain_path, P, 6), (mc.simulate_chain_path_clock, P, 6),
-                                   (mc.simulate_ou_path, D, 0.03)):
+    for simulate, model, start in ((mc.simulate_chain_path, P, 6), (simulate_chain_path_clock, P, 6),
+                                   (simulate_ou_path, D, 0.03)):
         with pytest.raises(ValueError, match="^horizon must be finite, got inf$"):
             simulate(model, start, cfg, 0)
 
