@@ -136,10 +136,10 @@ def _check_real(name, value, sign=None):
 
 
 def _check_int(name, value, sign="non-negative"):
-    """value as an int, if it is an integer (numbers.Integral) meeting the _SIGNS rule sign, else ValueError."""
-    if isinstance(value, numbers.Integral) and _SIGNS[sign](value, 0):
+    """value as an int, if it is an integer (numbers.Integral) meeting the _SIGNS rule sign (if any), else ValueError."""
+    if isinstance(value, numbers.Integral) and (sign is None or _SIGNS[sign](value, 0)):
         return int(value)
-    raise ValueError(f"{name} must be a {sign} integer, got {value!r}")
+    raise ValueError(f"{name} must be {'an' if sign is None else 'a ' + sign} integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -62,11 +62,12 @@ OU_BLOCK = 256
 #: OU sub-streams: the reset clock, the bridge clock, then one per normal block
 _RESET_CLOCK, _BRIDGE_CLOCK, _NORMALS = 0, 1, 2
 
-#: Philox blocks drawn per chain lane at a time, at most (64 uniforms, 32
-#: events), and per pass of _philox_uniforms (uint64 arrays of 128 kB)
-_CHAIN_BLOCKS, _PHILOX_PASS = 16, 16384
+#: Philox blocks per chain refill: about _CHAIN_REFILL over the running lanes,
+#: at most _CHAIN_BLOCKS a lane (64 uniforms, 32 events); and per pass of
+#: _philox_uniforms (nine scratch uint64 arrays of 128 kB)
+_CHAIN_REFILL, _CHAIN_BLOCKS, _PHILOX_PASS = 4096, 16, 16384
 
-#: lanes per lockstep chunk: chain arrays up to 8 MB, OU window arrays 2 MB (one core's L2)
+#: lanes per lockstep chunk: chain refills up to 512 kB, OU window arrays 2 MB (one core's L2)
 _CHAIN_LANES, _OU_LANES = 16384, 1024
 
 _CENSOR_FLAG_FRACTION = 1e-3
@@ -133,9 +134,14 @@ class ChainPath:
         return int(self.states[idx])
 
     def occupation_fraction(self, state, horizon):
-        bounds = np.append(self.times, horizon)
+        """Fraction of [0, horizon] spent in the integer `state`, each holding
+        interval clipped at the finite positive `horizon`.  A state the path
+        never visits reads 0; a ChainPath does not know N, so that includes
+        a state outside -N..N."""
+        _check_int("state", state, None)
+        bounds = np.minimum(np.append(self.times, horizon), _check_real("horizon", horizon, "positive"))
         mask = self.states == state
-        return float(np.sum(bounds[1:][mask] - self.times[mask]) / horizon)
+        return float(np.sum(bounds[1:][mask] - bounds[:-1][mask]) / horizon)
 
 
 @dataclass(frozen=True)
@@ -159,12 +165,13 @@ class _LaneStreams:
     def __init__(self, seed):
         self.seed = seed
         self.gen = np.random.Generator(np.random.Philox(0))
+        self.state = {"bit_generator": "Philox", "state": None, "buffer": [0, 0, 0, 0],
+                      "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
     def at(self, lane, sub=0) -> np.random.Generator:
         """The generator at the start of sub-stream `sub` of `lane`."""
-        self.gen.bit_generator.state = {
-            "bit_generator": "Philox", "state": {"counter": [0, sub, 0, 0], "key": [self.seed, lane]},
-            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        self.state["state"] = {"counter": [0, sub, 0, 0], "key": [self.seed, lane]}
+        self.gen.bit_generator.state = self.state
         return self.gen
 
     def normals(self, lanes, n, sub, used=None):
@@ -181,12 +188,32 @@ class _LaneStreams:
 _PHILOX_M0, _PHILOX_M1, _PHILOX_W0, _PHILOX_W1 = (
     0xD2E7470EE14C6C93, 0xCA5A826395121157, 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 
+#: each multiplier whole and as its low and high 32-bit halves, as uint64 scalars
+_PHILOX_MUL0, _PHILOX_MUL1 = (tuple(np.uint64(v) for v in (m, m & 0xFFFFFFFF, m >> 32))
+                              for m in (_PHILOX_M0, _PHILOX_M1))
+_LOW32 = np.uint64(0xFFFFFFFF)
 
-def _mulhilo(a, m):
-    """High and low words of the 128-bit products of the uint64 array a and the constant m."""
-    a0, a1, m0, m1 = a & 0xFFFFFFFF, a >> 32, m & 0xFFFFFFFF, m >> 32
-    mid = a1 * m0 + ((a0 * m0) >> 32)  # no sum of 32-bit halves overflows 64 bits
-    return a1 * m1 + (mid >> 32) + ((a0 * m1 + (mid & 0xFFFFFFFF)) >> 32), a * m
+
+def _mulhilo(a, m, t0, t1, t2, hi):
+    """In place: a becomes the low and hi the high words of the 128-bit
+    products of the uint64 array a and the multiplier m = (m, low half,
+    high half); t0, t1 and t2 are scratch of a's shape."""
+    m, m0, m1 = m
+    np.bitwise_and(a, _LOW32, out=t0)
+    np.right_shift(a, 32, out=t1)
+    a *= m
+    np.multiply(t0, m0, out=t2)
+    t2 >>= 32
+    np.multiply(t1, m0, out=hi)
+    hi += t2  # mid; no sum of 32-bit halves overflows 64 bits
+    t0 *= m1
+    np.bitwise_and(hi, _LOW32, out=t2)
+    t0 += t2
+    t0 >>= 32
+    hi >>= 32
+    hi += t0
+    t1 *= m1
+    hi += t1
 
 
 def _philox_uniforms(seed, lanes, sub, block, n_blocks):
@@ -195,21 +222,34 @@ def _philox_uniforms(seed, lanes, sub, block, n_blocks):
     They are the words of Philox4x64-10 at key [seed, lane] and counters
     [block + 1, sub, 0, 0] ... [block + n_blocks, sub, 0, 0] (numpy bumps
     the counter before each block), as (w >> 11) 2^-53.  Runs in passes
-    of _PHILOX_PASS blocks.  The round keys are Python ints mod 2^64:
-    numpy warns when a sum of uint64 scalars overflows."""
+    of _PHILOX_PASS blocks, in place on nine uint64 scratch arrays made
+    per call; a round renames the counter words instead of copying them.
+    The round keys are summed as Python ints mod 2^64: numpy warns when a
+    sum of uint64 scalars overflows."""
     lanes = lanes.astype(np.uint64)
-    keys = [((seed + r * _PHILOX_W0) % 2**64, (r * _PHILOX_W1) % 2**64) for r in range(10)]
+    keys = [(np.uint64((seed + r * _PHILOX_W0) % 2**64), np.uint64((r * _PHILOX_W1) % 2**64))
+            for r in range(10)]
     out = np.empty((lanes.size * n_blocks, 4))
+    scratch = np.empty((9, min(_PHILOX_PASS, len(out))), dtype=np.uint64)
     for lo in range(0, len(out), _PHILOX_PASS):
-        i = np.arange(lo, min(lo + _PHILOX_PASS, len(out)))
-        key, c0 = lanes[i // n_blocks], (i % n_blocks + block + 1).astype(np.uint64)
-        c1, c2, c3 = np.full_like(c0, sub), np.zeros_like(c0), np.zeros_like(c0)
+        i = np.arange(lo, min(lo + _PHILOX_PASS, len(out)), dtype=np.uint64)
+        key, c0, c1, c2, c3, t0, t1, t2, t3 = scratch[:, : i.size]
+        np.take(lanes, i // np.uint64(n_blocks), out=key)
+        np.remainder(i, np.uint64(n_blocks), out=c0)
+        c0 += np.uint64(block + 1)
+        c1[:], c2[:], c3[:] = sub, 0, 0
         for k0, k1 in keys:
-            (hi0, lo0), (hi1, lo1) = _mulhilo(c0, _PHILOX_M0), _mulhilo(c2, _PHILOX_M1)
-            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ (key + k1), lo0
+            _mulhilo(c0, _PHILOX_MUL0, t0, t1, t2, t3)
+            t3 ^= c3  # t3 ^ c3 ^ (key + k1) is the next c2; c3 is then free
+            np.add(key, k1, out=c3)
+            t3 ^= c3
+            _mulhilo(c2, _PHILOX_MUL1, t0, t1, t2, c3)
+            c3 ^= c1  # c3 ^ c1 ^ k0 is the next c0
+            c3 ^= k0
+            c0, c1, c2, c3, t3 = c3, c2, t3, c0, c1
         for w, c in enumerate((c0, c1, c2, c3)):
-            out[lo : lo + i.size, w] = c >> 11
-    out *= 2.0**-53
+            c >>= 11
+            np.multiply(c, 2.0**-53, out=out[lo : lo + i.size, w])
     return out.reshape(lanes.size, 4 * n_blocks)
 
 
@@ -263,21 +303,25 @@ def _chain_lanes(p: ChainParams, j, seed, lanes, until, absorb=False, trace=None
     final state and the time of the jump into 0 (nan if none).  With
     `trace` a list, every jump appends (lane positions, times, indices k + N).
     Lanes run in chunks of _CHAIN_LANES; the running lanes draw their next
-    1, 2, 4, ... up to _CHAIN_BLOCKS Philox blocks together.
+    min(_CHAIN_BLOCKS, ceil(_CHAIN_REFILL / running lanes)) Philox blocks
+    together, so a refill draws about _CHAIN_REFILL blocks until few lanes
+    run.  A lane's k-th uniform does not depend on the refill sizes.
     """
     targets, cum, total = _chain_table(p)
+    cum0, cum1 = cum.T
     state, hit = np.empty(len(lanes), dtype=np.int64), np.full(len(lanes), np.nan)
     for chunk in range(0, len(lanes), _CHAIN_LANES):
         pos = np.arange(chunk, min(chunk + _CHAIN_LANES, len(lanes)))
-        k, clock, block, n = np.full(pos.size, j + p.N), np.zeros(pos.size), 0, 1
+        k, clock, block = np.full(pos.size, j + p.N), np.zeros(pos.size), 0
         while pos.size:
+            n = min(_CHAIN_BLOCKS, -(-_CHAIN_REFILL // pos.size))
             u = _philox_uniforms(seed, lanes[pos], 0, block, n)
-            block, n = block + n, min(2 * n, _CHAIN_BLOCKS)
-            row = np.arange(pos.size)
-            for e in range(0, u.shape[1], 2):
-                clock = clock + -np.log1p(-u[row, e]) / total[k]
+            block, hold, row = block + n, -np.log1p(-u[:, ::2]), np.arange(pos.size)
+            for e in range(2 * n):
+                clock = clock + hold[row, e] / total[k]
                 stop = clock >= until
-                k = np.where(stop, k, targets[k, (cum[k] < u[row, e + 1, None]).sum(axis=1)])
+                v = u[row, 2 * e + 1]
+                k = np.where(stop, k, targets[k, np.add(cum0[k] < v, cum1[k] < v, dtype=np.intp)])
                 if absorb:
                     zero = ~stop & (k == p.N)
                     hit[pos[zero]] = clock[zero]
@@ -458,7 +502,7 @@ def _moment_estimates(times):
     var = float(finite.var(ddof=1))
     se_mean = float(math.sqrt(var / n))
     centered = finite - mean
-    m4 = float((centered**4).mean())
+    m4 = float(np.square(np.square(centered)).mean())
     se_var = float(math.sqrt(max(m4 - var**2, 0.0) / n))
     return EstimateWithError(mean, se_mean, n), EstimateWithError(var, se_var, n)
 

@@ -85,6 +85,30 @@ def test_chain_path_high_reset_rate_occupation():
     assert avg == pytest.approx(q0, abs=0.02)
 
 
+def test_occupation_fraction_clips_at_the_horizon():
+    # the horizon clips every holding interval: fractions stay in [0, 1] and
+    # sum to 1 over the states, also at horizons before the path's last event
+    path = mc.simulate_chain_path(P, 6, mc.SimConfig(seed=1, n_paths=1, horizon=5.0), 0)
+    assert path.times[-1] > 1.0 and path.states[path.times < 0.1].tolist() == [6, 5, 6]
+    for horizon in (5.0, 1.0, 0.1):
+        fractions = np.array([path.occupation_fraction(k, horizon) for k in range(-P.N, P.N + 1)])
+        assert np.all((0.0 <= fractions) & (fractions <= 1.0))
+        assert abs(fractions.sum() - 1.0) <= 1e-15
+    # at the path's own horizon no interval is clipped: the unclipped sums
+    bounds = np.append(path.times, 5.0)
+    for k in range(-P.N, P.N + 1):
+        mask = path.states == k
+        assert path.occupation_fraction(k, 5.0) == float(np.sum(bounds[1:][mask] - path.times[mask]) / 5.0)
+    assert path.occupation_fraction(0, 0.1) == 0.0  # first held at 1.2; unclipped it read -32.98
+    assert path.occupation_fraction(99, 5.0) == 0.0  # never visited
+    for horizon in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="^horizon must be finite and positive"):
+            path.occupation_fraction(0, horizon)
+    for state in (2.5, "0", None):
+        with pytest.raises(ValueError, match="^state must be an integer"):
+            path.occupation_fraction(state, 5.0)
+
+
 def test_estimate_chain_law_matches_closed_form():
     cfg = mc.SimConfig(seed=101, n_paths=20000, horizon=50.0)
     est = mc.estimate_chain_law(P, 6, 1.0, cfg)
@@ -272,7 +296,7 @@ def _numpy_uniforms(seed, lane, sub, block, n):
                                ).random(4 * n)
 
 
-def test_philox_uniforms_match_numpy_philox():
+def test_philox_uniforms_match_numpy_philox(monkeypatch):
     # the all-lane Philox4x64-10 kernel gives the random() words of numpy's
     # own generator, bit for bit: n blocks after block b at the chain's
     # refill offsets, on sub-streams 0-2, at edge keys and seeds.  With 3
@@ -292,6 +316,21 @@ def test_philox_uniforms_match_numpy_philox():
     u = mc._philox_uniforms(2**64 - 1, lanes, 1, 5, 3)
     assert np.array_equal(u, [_numpy_uniforms(2**64 - 1, lane, 1, 5, 3) for lane in lanes.tolist()])
     assert np.all(mc._exp_clock(7, lanes[:50], 0.0) == np.inf)
+    # call sizes at the pass edges: 1 block, one whole pass, one pass and a block
+    for lanes, n in ((np.array([2**64 - 1], dtype=np.uint64), 1), (np.arange(mc._PHILOX_PASS), 1),
+                     (np.arange(mc._PHILOX_PASS // 16), 16), (np.arange(mc._PHILOX_PASS + 1), 1)):
+        given = lanes.copy()
+        u = mc._philox_uniforms(7, lanes, 0, 2, n)
+        rows = np.unique(np.r_[0, len(lanes) - 2 : len(lanes), np.arange(0, len(lanes), 997)].clip(0))
+        assert np.array_equal(u[rows], [_numpy_uniforms(7, lane, 0, 2, n) for lane in lanes[rows].tolist()])
+        assert np.array_equal(lanes, given)  # the caller's lanes are not written
+        again = mc._philox_uniforms(7, lanes, 0, 2, n)
+        assert np.array_equal(again, u) and not np.shares_memory(again, u)
+    # with a pass of 40 blocks and 16 blocks a lane, lanes 2, 4, 7, ... straddle two passes
+    monkeypatch.setattr(mc, "_PHILOX_PASS", 40)
+    lanes = np.arange(9, dtype=np.uint64) + 2**63
+    assert np.array_equal(mc._philox_uniforms(3, lanes, 1, 31, 16),
+                          [_numpy_uniforms(3, lane, 1, 31, 16) for lane in lanes.tolist()])
 
 
 def test_one_lane_path_refills_past_the_block_cap():
@@ -307,6 +346,48 @@ def test_one_lane_path_refills_past_the_block_cap():
         times, ref = _scalar_chain_path(P, 6, cfg.seed, i, cfg.horizon)
         assert np.array_equal(path.states, ref)
         np.testing.assert_allclose(path.times, times, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("absorb", [False, True])
+def test_chain_streams_do_not_depend_on_refill_size(monkeypatch, absorb):
+    # a lane's k-th uniform is the same whether a refill draws 1 block, a
+    # count that grows as lanes stop, or 16, with lanes over several chunks
+    monkeypatch.setattr(mc, "_CHAIN_LANES", 64)
+    lanes, until = np.arange(150), (50.0 if absorb else 2.0)
+    for seed in (0, 7, 2**64 - 1):
+        runs = []
+        for refill in (1, 300, 2**40):
+            monkeypatch.setattr(mc, "_CHAIN_REFILL", refill)
+            trace = []
+            runs.append((*mc._chain_lanes(P, 3, seed, lanes, until, absorb=absorb, trace=trace), trace))
+        (state, hit, trace), others = runs[0], runs[1:]
+        assert np.isnan(hit).any() != absorb and len(trace) > 20
+        for other_state, other_hit, other_trace in others:
+            assert np.array_equal(other_state, state)
+            assert np.array_equal(other_hit, hit, equal_nan=True)
+            assert len(other_trace) == len(trace)
+            assert all(np.array_equal(a, b) for step, other in zip(trace, other_trace)
+                       for a, b in zip(step, other))
+
+
+def test_fpt_fourth_moment_matches_pow_form():
+    # the variance's standard error takes the fourth central moment as
+    # square(square(x)); against x**4 only that error may move, by an ulp
+    def pow_form(times):
+        finite = times[~np.isnan(times)]
+        mean, var = float(finite.mean()), float(finite.var(ddof=1))
+        m4 = float(((finite - mean) ** 4).mean())
+        return mean, var, math.sqrt(var / finite.size), math.sqrt(max(m4 - var**2, 0.0) / finite.size)
+
+    for seed in range(20):
+        cfg = mc.SimConfig(seed=seed, n_paths=2000)
+        for model, start, times in (
+                (P, 3, mc._chain_lanes(P, 3, seed, np.arange(2000), mc.default_horizon(P), absorb=True)[1]),
+                (D, 0.03, mc._ou_fpt_exact(D, 0.03, mc.default_horizon(D), cfg))):
+            est = mc.estimate_fpt(model, start, cfg)
+            mean, var, se_mean, se_var = pow_form(times)
+            assert (est.mean.value, est.variance.value, est.mean.std_error) == (mean, var, se_mean)
+            assert est.variance.std_error == pytest.approx(se_var, rel=1e-15, abs=0.0)
 
 
 def test_ou_stream_version_3_pinned():
