@@ -12,6 +12,7 @@ failure, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
@@ -95,13 +96,14 @@ def cmd_pjn(args):
 
 def cmd_moments(args):
     p = _chain_from_args(args)
+    pfree = dataclasses.replace(p, xi=0.0)
     grid = eh.default_time_grid(p, args.points, args.t_max)
     cols = {
         "t": grid,
         "mean": eh.mean_cat(p, args.j, grid),
         "variance": eh.var_cat(p, args.j, grid),
-        "mean_free": eh.mean_free(p, args.j, grid),
-        "variance_free": eh.var_free(p, args.j, grid),
+        "mean_free": eh.mean_cat(pfree, args.j, grid),
+        "variance_free": eh.var_cat(pfree, args.j, grid),
     }
     path = args.out or os.path.join(_out_dir(args), "moments.csv")
     write_csv(path, {"N": p.N, "lambda": p.lam, "mu": p.mu, "xi": p.xi, "j": args.j}, cols)
@@ -240,12 +242,10 @@ def _figure_columns(fig_id):
         pfree = eh.ChainParams(N=N, lam=lam, mu=mu, xi=0.0)
         grid = eh.default_time_grid(pfree)
         cols = {"t": grid}
+        f = eh.mean_cat if which == "mean" else eh.var_cat
         for xi in _FIG_XI_LIST:
-            p = eh.ChainParams(N=N, lam=lam, mu=mu, xi=xi)
-            f = eh.mean_cat if which == "mean" else eh.var_cat
-            cols[f"{which}_xi{xi}"] = f(p, j, grid)
-        ffree = eh.mean_free if which == "mean" else eh.var_free
-        cols[f"{which}_free"] = ffree(pfree, j, grid)
+            cols[f"{which}_xi{xi}"] = f(eh.ChainParams(N=N, lam=lam, mu=mu, xi=xi), j, grid)
+        cols[f"{which}_free"] = f(pfree, j, grid)
         return {"N": N, "lambda": lam, "mu": mu, "j": j, "quantity": which}, cols
 
     if fig_id in _FIG5:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf, erfc, loggamma
 
-from .ehrenfest import ChainParams, QuadratureError, _check_int, _check_real
+from .ehrenfest import ChainParams, QuadratureError, _check_int, _check_real, _reset_moments
 from .specfun import (
     SERIES_MAX_TERMS,
     SERIES_RTOL,
@@ -346,12 +346,17 @@ def f_cat_sym(d: DiffusionParams, x, y, t) -> float:
     )
 
 
-def mean_cat_x(d: DiffusionParams, y, t):
-    """Conditional mean of the reset process at t, a float or a 1-D array (then an array)."""
+def _ou_moments(d: DiffusionParams, y, t):
+    """_reset_moments of the OU process, whose variance source is alpha nu + xi m^2."""
     _check_real("y", y)
-    t = _check_real("t", t, "non-negative")
-    e = np.exp(-(d.alpha + d.xi) * t)
-    return y * e + mean_cat_x_limit(d) * (1.0 - e)
+    L = mean_cat_x_limit(d)
+    return _reset_moments(y, t, L, d.alpha, d.xi, d.alpha * d.nu + d.xi * L * L, 2.0 * d.xi * L)
+
+
+def mean_cat_x(d: DiffusionParams, y, t):
+    """Conditional mean of the reset process at t, a float or a 1-D array (then an array), free at xi = 0;
+    see ehrenfest._reset_moments."""
+    return _ou_moments(d, y, t)[0]
 
 
 def mean_cat_x_limit(d: DiffusionParams) -> float:
@@ -359,15 +364,8 @@ def mean_cat_x_limit(d: DiffusionParams) -> float:
 
 
 def m2_cat_x(d: DiffusionParams, y, t):
-    """Conditional second moment of the reset process at t, a float or a 1-D array (then an array)."""
-    _check_real("y", y)
-    t = _check_real("t", t, "non-negative")
-    alpha, beta, nu, xi = d.alpha, d.beta, d.nu, d.xi
-    r1 = xi + alpha
-    r2 = xi + 2.0 * alpha
-    c1 = 2.0 * beta * (y - alpha * beta / r1)
-    c2 = y**2 - 2.0 * beta * y + 2.0 * alpha * beta**2 / r2 - alpha * nu / r2
-    return m2_cat_x_limit(d) + c1 * np.exp(-r1 * t) + c2 * np.exp(-r2 * t)
+    """Conditional second moment of the reset process at t, as mean_cat_x."""
+    return _ou_moments(d, y, t)[1]
 
 
 def m2_cat_x_limit(d: DiffusionParams) -> float:
@@ -376,11 +374,8 @@ def m2_cat_x_limit(d: DiffusionParams) -> float:
 
 
 def var_cat_x(d: DiffusionParams, y, t):
-    """Conditional variance of the reset process at t, a float or a 1-D array (then an array).
-
-    m * m, and exactly 0 at t = 0, as in var_cat."""
-    m = mean_cat_x(d, y, t)
-    return np.where(np.greater(t, 0.0), m2_cat_x(d, y, t) - m * m, 0.0)[()]
+    """Conditional variance of the reset process at t, as mean_cat_x."""
+    return _ou_moments(d, y, t)[2]
 
 
 # ----------------------------------------------------------------------

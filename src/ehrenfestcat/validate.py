@@ -149,6 +149,10 @@ def suite_chain():
     dv = abs(eh.m2_cat(p, 6, 1.0) - row.second_moment())
     checks.append(CheckResult("moment identities", max(dm, dv) <= 1e-8, f"abs {max(dm, dv):.2e}"))
 
+    # v'(0) is the variance source at the start, lam (N - j) + mu (N + j) + xi j^2
+    rel = abs(eh.var_cat(p, 6, 1e-12) / 1e-12 / (p.lam * (p.N - 6) + p.mu * (p.N + 6) + p.xi * 36) - 1.0)
+    checks.append(CheckResult("variance slope at t -> 0", rel <= 1e-9, f"rel {rel:.2e}"))
+
     mlin, _ = eh.fpt_moments_linear(p, 3)
     mq, _ = quad(lambda t: t * eh.fpt_density_cat(p, 3, t), 0.0, 60.0, limit=300)
     checks.append(CheckResult("fpt mean linear-solve vs quadrature", abs(mlin - mq) <= 1e-6, f"abs {abs(mlin - mq):.2e}"))
@@ -180,6 +184,10 @@ def suite_diffusion():
 
     glim = ou.fpt_laplace_free(d, 0.03, 1e-8)
     checks.append(CheckResult("fpt transform -> 1 as s -> 0", abs(glim - 1.0) <= 1e-6, f"abs {abs(glim - 1.0):.2e}"))
+
+    # v'(0) is the variance source at the start, alpha nu + xi y^2
+    rel = abs(ou.var_cat_x(d, 0.06, 1e-12) / 1e-12 / (d.alpha * d.nu + d.xi * 0.06**2) - 1.0)
+    checks.append(CheckResult("variance slope at t -> 0", rel <= 1e-9, f"rel {rel:.2e}"))
 
     v = ou.talbot_invert(lambda s: 1.0 / (s + 1.0), 1.0)
     checks.append(CheckResult("talbot inversion of known pair", abs(v - math.exp(-1.0)) <= 1e-8, f"abs {abs(v - math.exp(-1.0)):.2e}"))

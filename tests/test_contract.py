@@ -48,7 +48,7 @@ MORE_CALLS = {
     "fpt_density_cat_sym": [{"t": np.array([0.0, 1.0])}],
     "fpt_moments_linear": [{"xi": np.array([0.0, 0.5])}],
 } | {name: [{"t": np.array([0.0, 0.5, 1.0])}] for name in (
-    "mean_free", "var_free", "mean_cat", "m2_cat", "var_cat", "mean_cat_x", "m2_cat_x", "var_cat_x")
+    "mean_cat", "m2_cat", "var_cat", "mean_cat_x", "m2_cat_x", "var_cat_x")
 } | {name: [{"x": np.array([-0.01, 0.0, 0.01])}] for name in ("f_free_laplace", "W_cat")
 } | {name: [{"xi": np.array([0.25, 0.5])}] for name in ("mean_fpt_cat", "m2_fpt_cat", "var_fpt_cat")}
 

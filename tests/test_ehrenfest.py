@@ -1,5 +1,6 @@
 """Chain-law checks: closed forms against quadrature, ODE and summation oracles."""
 
+import dataclasses
 import math
 import re
 import sys
@@ -129,6 +130,17 @@ def test_b1_b2_endpoints():
     assert eh.b2(p, 1e3) == pytest.approx(lim, rel=1e-12)
 
 
+def test_b2_small_t_vs_mpmath():
+    # 1 - exp(-d t) lost 3.3e-5 relative at t = 1e-12, 5.6e-8 at 1e-9 and 6.8e-11 at 1e-6
+    mpmath = pytest.importorskip("mpmath")
+    p = eh.ChainParams(N=10, lam=0.6, mu=0.2)
+    for t in (1e-12, 1e-9, 1e-6):
+        with mpmath.workdps(50):
+            lm, mm, tm = map(mpmath.mpf, (p.lam, p.mu, t))
+            want = float(-lm * mpmath.expm1(-(lm + mm) * tm) / (lm + mm))
+        assert eh.b2(p, t) == pytest.approx(want, rel=1e-15, abs=0), t
+
+
 def test_b1_b2_symmetric_complement():
     p = eh.ChainParams(N=5, lam=0.7, mu=0.7)
     for t in (0.1, 0.9, 3.0):
@@ -181,20 +193,21 @@ def test_q_free_mirror():
 
 
 def test_free_moments_match_distribution():
-    p = P_ASYM
+    # the free chain's moments are the xi = 0 call
+    p = dataclasses.replace(P_ASYM, xi=0.0)
     for t in (0.5, 1.0, 5.0):
         row = eh.p_free_row(p, 6, t)
-        assert eh.mean_free(p, 6, t) == pytest.approx(row.mean(), abs=1e-10)
+        assert eh.mean_cat(p, 6, t) == pytest.approx(row.mean(), abs=1e-10)
         var = row.second_moment() - row.mean() ** 2
-        assert eh.var_free(p, 6, t) == pytest.approx(var, abs=1e-10)
+        assert eh.var_cat(p, 6, t) == pytest.approx(var, abs=1e-10)
 
 
 def test_free_moments_endpoints():
-    p = P_ASYM
-    assert eh.mean_free(p, 6, 0.0) == 6.0
-    assert eh.var_free(p, 6, 0.0) == 0.0
+    p = dataclasses.replace(P_ASYM, xi=0.0)
+    assert eh.mean_cat(p, 6, 0.0) == 6.0
+    assert eh.var_cat(p, 6, 0.0) == 0.0
     lim = p.N * (p.lam - p.mu) / (p.lam + p.mu)
-    assert eh.mean_free(p, 6, 1e3) == pytest.approx(lim)
+    assert eh.mean_cat(p, 6, 1e3) == pytest.approx(lim)
 
 
 @pytest.mark.parametrize("N", [1, 20, 160])
@@ -470,11 +483,15 @@ def test_p_cat_closed_rows_check_one_block_and_name_the_bad_time(monkeypatch):
 
 
 def test_var_cat_is_exactly_zero_at_t0():
-    # the start is certain at t = 0; m2 - m * m rounded to -2.8e-14 there at j = -8
+    # the start is certain at t = 0: the variance is +0.0, and mean and m2 are j and j^2,
+    # all exactly, scalar and array
+    # (m2 - m * m once rounded to -2.8e-14 there at j = -8)
     for lam, mu, xi in ((0.9, 0.3, 0.5), (0.6, 0.2, 0.25), (0.6, 0.6, 1.5), (0.3, 0.2, 0.0)):
         p = eh.ChainParams(N=10, lam=lam, mu=mu, xi=xi)
         for j in range(-10, 11):
-            for v in (eh.var_cat(p, j, 0.0), eh.var_cat(p, j, np.array([0.0, 1.0]))[0]):
+            for t, k in ((0.0, ()), (np.array([0.0, 1.0]), 0)):
+                assert eh.mean_cat(p, j, t)[k] == j and eh.m2_cat(p, j, t)[k] == j * j, (lam, mu, xi, j)
+                v = eh.var_cat(p, j, t)[k]
                 assert v == 0.0 and math.copysign(1.0, v) == 1.0, (lam, mu, xi, j)
 
 
@@ -589,19 +606,35 @@ def test_moment_renewal_relation():
     # E_j[M^k(t)] = e^{-xi t} E_j[free^k](t) + xi int_0^t e^{-xi tau} E_0[free^k](tau) dtau
     p = P_ASYM
     j, t = 6, 1.3
+    # the free moments from the free rows, a route apart from the moment formula
     for k, closed in ((1, eh.mean_cat), (2, eh.m2_cat)):
-        def free_moment(tau):
-            if k == 1:
-                return eh.mean_free(p, 0, tau)
-            return eh.var_free(p, 0, tau) + eh.mean_free(p, 0, tau) ** 2
+        def free_moment(start, tau):
+            row = eh.p_free_row(p, start, tau)
+            return row.mean() if k == 1 else row.second_moment()
 
-        integral, _ = quad(lambda tau: math.exp(-p.xi * tau) * free_moment(tau), 0.0, t,
+        integral, _ = quad(lambda tau: math.exp(-p.xi * tau) * free_moment(0, tau), 0.0, t,
                            epsabs=1e-12, limit=200)
-        free_j = eh.mean_free(p, j, t) if k == 1 else (
-            eh.var_free(p, j, t) + eh.mean_free(p, j, t) ** 2
-        )
-        renewal = math.exp(-p.xi * t) * free_j + p.xi * integral
+        renewal = math.exp(-p.xi * t) * free_moment(j, t) + p.xi * integral
         assert closed(p, j, t) == pytest.approx(renewal, abs=1e-8)
+
+
+@pytest.mark.parametrize("N", [1, 10, 40, 160])
+def test_moments_vs_mpmath_paper_form(N):
+    # the one moment formula against the paper's forms in 50 digits, whose m2 - m^2
+    # cancels at small t (evaluated in floats it was 1.4e-1 off at t = 1e-12);
+    # measured at most 3.3e-14 relative, 1.8e-15 for N <= 40 and lam/mu in [1/3, 3]
+    pytest.importorskip("mpmath")
+    from moment_oracles import chain_moments, worst_errors
+
+    times = np.logspace(-12, 2, 29)
+    for lam, mu in ((0.006, 0.6), (0.2, 0.6), (0.6, 0.6), (0.6, 0.2), (0.6, 0.006), (0.3, 0.2)):
+        for xi in (0.0, 0.01, 0.25, 0.5, 1.5, 5.0):
+            p = eh.ChainParams(N=N, lam=lam, mu=mu, xi=xi)
+            for j in sorted({-N, -1, 0, 1, N // 2, N}):
+                got = [f(p, j, np.r_[0.0, times]) for f in (eh.mean_cat, eh.m2_cat, eh.var_cat)]
+                assert [g[0] for g in got] == [j, j * j, 0.0]
+                worst = worst_errors(chain_moments, p, j, times, [g[1:] for g in got])
+                assert max(worst) <= 1.0, (lam, mu, xi, j, worst)
 
 
 def test_m2_limit_matches_long_time():

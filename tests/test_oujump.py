@@ -438,13 +438,13 @@ def test_variance_scaling_convergence():
 @pytest.mark.parametrize("lam, mu", [(0.6, 0.6), (0.6, 0.2), (0.3, 0.2)])
 def test_moments_array_matches_scalar_calls(lam, mu):
     # one route per moment: a grid call equals the scalar calls bit for bit
-    # (the variances square the mean as m * m, not m ** 2, for that)
+    # (m2 adds the mean's square as m * m, not m ** 2, for that); xi = 0 is the free chain
     j, eps = 6, 0.01
     grid = eh.default_time_grid(eh.ChainParams(N=10, lam=lam, mu=mu))
     for xi in (0.0, 0.25, 0.5, 1.0, 1.5):
         p = eh.ChainParams(N=10, lam=lam, mu=mu, xi=xi)
         d = ou.scale_params(ou.ScalingMap(eps, p))
-        calls = [(f, p, j) for f in (eh.mean_free, eh.var_free, eh.mean_cat, eh.m2_cat, eh.var_cat)]
+        calls = [(f, p, j) for f in (eh.mean_cat, eh.m2_cat, eh.var_cat)]
         calls += [(f, d, j * eps) for f in (ou.mean_cat_x, ou.m2_cat_x, ou.var_cat_x)]
         for f, model, start in calls:
             got = f(model, start, grid)
@@ -455,11 +455,33 @@ def test_moments_array_matches_scalar_calls(lam, mu):
 
 @pytest.mark.parametrize("beta", [0.0, 0.02])
 def test_var_cat_x_is_exactly_zero_at_t0(beta):
-    # the start is certain at t = 0; m2 - m * m rounds to 4.3e-19 there at beta = 0.02
+    # the start is certain at t = 0: the variance is +0.0, and mean and m2 are y and y^2,
+    # all exactly, scalar and array
+    # (m2 - m * m once rounded to 4.3e-19 there at beta = 0.02)
     d = dataclasses.replace(D_BETA, beta=beta)
     for y in np.linspace(-0.1, 0.1, 21).tolist() + [0.06]:
-        for v in (ou.var_cat_x(d, y, 0.0), ou.var_cat_x(d, y, np.array([0.0, 1.0]))[0]):
+        for t, k in ((0.0, ()), (np.array([0.0, 1.0]), 0)):
+            assert ou.mean_cat_x(d, y, t)[k] == y and ou.m2_cat_x(d, y, t)[k] == y * y, y
+            v = ou.var_cat_x(d, y, t)[k]
             assert v == 0.0 and math.copysign(1.0, v) == 1.0, y
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.004, -0.01, 0.02, 0.2, -0.5])
+def test_x_moments_vs_mpmath_paper_form(beta):
+    # the one moment formula against the paper's forms in 50 digits, whose m2 - m^2
+    # cancels at small t (evaluated in floats it was 2.0e-1 off at t = 1e-12);
+    # measured at most 4.4e-14 relative
+    pytest.importorskip("mpmath")
+    from moment_oracles import ou_moments, worst_errors
+
+    times = np.logspace(-12, 2, 29)
+    for xi in (0.0, 0.01, 0.25, 0.5, 1.5, 5.0):
+        d = ou.DiffusionParams(alpha=1.2, beta=beta, nu=0.001, xi=xi)
+        for y in (-0.1, 0.0, 0.03, 0.06, 0.5):
+            got = [f(d, y, np.r_[0.0, times]) for f in (ou.mean_cat_x, ou.m2_cat_x, ou.var_cat_x)]
+            assert [g[0] for g in got] == [y, y * y, 0.0]
+            worst = worst_errors(ou_moments, d, y, times, [g[1:] for g in got])
+            assert max(worst) <= 1.0, (xi, y, worst)
 
 
 @pytest.mark.parametrize("d", [D_SYM, D_BETA, dataclasses.replace(D_SYM, beta=-0.01)])
